@@ -19,6 +19,7 @@ import pyarrow.compute as pc
 import ray.data
 from ray.data.aggregate import Count, Min
 
+from .blocking import bucket_pair_keys, bucket_pairs, unpack_pair_table
 from .textfns import (
     band_buckets_batch,
     char_shingles,
@@ -143,7 +144,7 @@ def lsh_near_dup_pairs(
     across bands; ``jaccard_ppm = (|∩| * 10^6) // |∪|`` is exact integer
     arithmetic so the DuckDB oracle can hash-match it (no float rounding).
     ``id_col`` must be integer ids < 2^32 (the pair-dedup shuffle packs a
-    pair into one uint64 key; _encode_pair raises on wider ids — pre-map
+    pair into one uint64 key; pack_pairs raises on wider ids — pre-map
     wider id spaces first).
     The whole plan — md5 base hash, uint64 permutations, FNV band polynomial,
     bucket cap with chain fallback, exact-Jaccard verify — is replicated in
@@ -174,34 +175,16 @@ def lsh_near_dup_pairs(
             }
         )
 
-    # Phase 2 — in-bucket candidate generation (ids only; no verification yet)
-    def part_cands(group: pd.DataFrame) -> pd.DataFrame:
-        # many buckets per Ray group (bucket % P) — see canonicalize.py note
-        # on map_groups per-group overhead
-        a, b = [], []
-        for _, g in group.groupby("bucket", sort=False):
-            ids = sorted(set(g["doc"]))
-            n = len(ids)
-            if n < 2:
-                continue
-            pairs = (
-                [(i, j) for i in range(n) for j in range(i + 1, n)]
-                if n <= bucket_cap
-                else [(i, i + 1) for i in range(n - 1)]  # sorted-chain skew cap
-            )
-            for i, j in pairs:
-                a.append(ids[i])
-                b.append(ids[j])
-        return pd.DataFrame(
-            {"id_a": pd.Series(a, dtype="int64"), "id_b": pd.Series(b, dtype="int64")}
-        )
-
+    # Phase 2 — in-bucket candidate generation (ids only; no verification
+    # yet). Many buckets per Ray group (bucket % P): map_groups pays ~80 μs
+    # per group, so one group per bucket would dominate. Pairs leave packed
+    # into ONE uint64 key (ids < 2^32 — pack_pairs contract), so the
+    # cross-band dedup shuffle is a single-int-column groupby: no synthetic
+    # string keys (measured 8 s → ~2 s on 274k pairs at sf0.1).
     def add_part(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as _pc
-
         from ..stages.canonicalize import _compact_blocks
 
-        part = _pc.cast(t.column("bucket"), pa.int64()).to_numpy() % _compact_blocks()
+        part = pc.cast(t.column("bucket"), pa.int64()).to_numpy() % _compact_blocks()
         return t.append_column("__part", pa.array(part, pa.int64()))
 
     cands_raw = (
@@ -209,41 +192,14 @@ def lsh_near_dup_pairs(
         .map_batches(bands, batch_format="pyarrow")
         .map_batches(add_part, batch_format="pyarrow")
         .groupby("__part")
-        .map_groups(part_cands, batch_format="pandas")
+        .map_groups(lambda g: bucket_pair_keys(g, bucket_cap), batch_format="pyarrow")
     )
-
-    # dedup candidates discovered in multiple bands BEFORE fetching any text.
-    # Pairs pack into ONE uint64 key (ids < 2^32 — _encode_pair contract),
-    # so the dedup shuffle is a single-int-column groupby: no synthetic
-    # string keys (measured 8 s → ~2 s on 274k pairs at sf0.1).
-    def pack(t: pa.Table) -> pa.Table:
-        import numpy as np
-
-        from .graph import _encode_pair
-
-        a = pc.cast(t.column("id_a"), pa.int64()).to_numpy()
-        b = pc.cast(t.column("id_b"), pa.int64()).to_numpy()
-        return pa.table({"k": pa.array(_encode_pair(a, b), pa.uint64())})
-
-    def unpack(t: pa.Table) -> pa.Table:
-        import numpy as np
-
-        if t.num_rows == 0 or "k" not in t.column_names:
-            return pa.table({"id_a": pa.array([], pa.int64()),
-                             "id_b": pa.array([], pa.int64())})
-        k = t.column("k").to_numpy()
-        return pa.table(
-            {"id_a": pa.array((k >> np.uint64(32)).astype(np.int64), pa.int64()),
-             "id_b": pa.array((k & np.uint64(0xFFFFFFFF)).astype(np.int64),
-                              pa.int64())}
-        )
 
     from ..stages.canonicalize import grouped_aggregate as _ga
 
     cands = (
-        _ga(cands_raw.map_batches(pack, batch_format="pyarrow"),
-            ["k"], Count(alias_name="_nb"))
-        .map_batches(unpack, batch_format="pyarrow")
+        _ga(cands_raw, ["k"], Count(alias_name="_nb"))
+        .map_batches(unpack_pair_table, batch_format="pyarrow")
         .materialize()
     )
     n_cands = cands.count()
@@ -408,7 +364,6 @@ def setsim_join_pairs(
     import ray as _ray
 
     from .textfns import md5_hash64
-    from .graph import _encode_pair
 
     shingler = SHINGLERS[shingle]
 
@@ -445,48 +400,16 @@ def setsim_join_pairs(
         part = t.column("bucket").to_numpy() % P
         return t.append_column("__part", pa.array(part, pa.int64()))
 
-    def part_cands(group: pd.DataFrame) -> pd.DataFrame:
-        a, b = [], []
-        for _, g in group.groupby("bucket", sort=False):
-            ids = sorted(set(g["doc"]))
-            n = len(ids)
-            for i in range(n):
-                for j in range(i + 1, n):
-                    a.append(ids[i])
-                    b.append(ids[j])
-        return pd.DataFrame(
-            {"id_a": pd.Series(a, dtype="int64"), "id_b": pd.Series(b, dtype="int64")}
-        )
-
-    def pack(t: pa.Table) -> pa.Table:
-        import numpy as np
-
-        a = pc.cast(t.column("id_a"), pa.int64()).to_numpy()
-        b = pc.cast(t.column("id_b"), pa.int64()).to_numpy()
-        return pa.table({"k": pa.array(_encode_pair(a, b), pa.uint64())})
-
-    def unpack(t: pa.Table) -> pa.Table:
-        import numpy as np
-
-        if t.num_rows == 0 or "k" not in t.column_names:
-            return pa.table({"id_a": pa.array([], pa.int64()),
-                             "id_b": pa.array([], pa.int64())})
-        k = t.column("k").to_numpy()
-        return pa.table(
-            {"id_a": pa.array((k >> np.uint64(32)).astype(np.int64), pa.int64()),
-             "id_b": pa.array((k & np.uint64(0xFFFFFFFF)).astype(np.int64), pa.int64())}
-        )
-
+    # no bucket cap: the lossless contract forbids dropping pairs
     cands = (
         ds.select_columns([id_col, text_col])
         .map_batches(prefixes, batch_format="pyarrow")
         .map_batches(add_part, batch_format="pyarrow")
         .groupby("__part")
-        .map_groups(part_cands, batch_format="pandas")
-        .map_batches(pack, batch_format="pyarrow")
+        .map_groups(bucket_pair_keys, batch_format="pyarrow")
         .groupby("k")
         .aggregate(Count(alias_name="_nb"))
-        .map_batches(unpack, batch_format="pyarrow")
+        .map_batches(unpack_pair_table, batch_format="pyarrow")
         .materialize()
     )
 
@@ -642,29 +565,16 @@ def fuzzy_name_pairs(
         part = [zlib.crc32(k.encode()) % P for k in t.column("key").to_pylist()]
         return t.append_column("__part", pa.array(part, pa.int64()))
 
-    def part_cands(g: pd.DataFrame) -> pd.DataFrame:
-        a, b = [], []
-        for _, grp in g.groupby("key", sort=False):
-            names = sorted(set(grp["name"]))
-            n = len(names)
-            if n < 2:
-                continue
-            prs = (
-                [(i, j) for i in range(n) for j in range(i + 1, n)]
-                if n <= bucket_cap
-                else [(i, i + 1) for i in range(n - 1)]
-            )
-            for i, j in prs:
-                a.append(names[i])
-                b.append(names[j])
-        return pd.DataFrame({"name_a": pd.Series(a, dtype="object"),
-                             "name_b": pd.Series(b, dtype="object")})
+    def part_cands(g: pa.Table) -> pa.Table:
+        i, j = bucket_pairs(g.column("key"), g.column("name"), bucket_cap)
+        return pa.table({"name_a": g.column("name").take(i),
+                         "name_b": g.column("name").take(j)})
 
     cands = grouped_aggregate(
         distinct.map_batches(explode_keys, batch_format="pyarrow")
         .map_batches(add_part, batch_format="pyarrow")
         .groupby("__part")
-        .map_groups(part_cands, batch_format="pandas"),
+        .map_groups(part_cands, batch_format="pyarrow"),
         ["name_a", "name_b"],
         Count(alias_name="_nk"),
     )

@@ -42,6 +42,7 @@ from ray.data.aggregate import Min, Sum
 
 from ..stages.canonicalize import _compact_blocks, grouped_aggregate
 from ..stages.joins import hash_join
+from .blocking import pack_pairs, unpack_pairs
 
 PR_SCALE = 10**12  # PageRank mass denominator (parts-per-SCALE integers)
 PR_DAMP_NUM, PR_DAMP_DEN = 85, 100  # damping 0.85 as an exact ratio
@@ -128,16 +129,6 @@ def degree_table(edges_ds: "ray.data.Dataset") -> "ray.data.Dataset":
         ["node"],
         Sum("degree", alias_name="degree"),
     )
-
-
-def _encode_pair(b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Injective (b, c) → uint64 key. Node ids must fit 32 bits — true for
-    any vocabulary-assigned id space (parts here, canonical entity ids in a
-    KG). Checked with an explicit raise (not ``assert``) so the invariant
-    survives ``python -O``; silent aliasing would corrupt triangle counts."""
-    if b.size and (int(b.max()) >= (1 << 32) or int(c.max()) >= (1 << 32)):
-        raise ValueError("node ids exceed 32 bits — widen the pair encoding")
-    return (b.astype(np.uint64) << np.uint64(32)) | c.astype(np.uint64)
 
 
 def triangle_count(
@@ -256,7 +247,7 @@ def triangle_count(
 
     if n_edges <= broadcast_threshold:
         def edge_keys(t: pa.Table) -> pa.Table:
-            k = _encode_pair(
+            k = pack_pairs(
                 pc.cast(t.column("src"), pa.int64()).to_numpy(),
                 pc.cast(t.column("dst"), pa.int64()).to_numpy(),
             )
@@ -278,7 +269,7 @@ def triangle_count(
             wdg = tri = 0
             for b, c in iter_wedges(g):
                 wdg += len(b)
-                q = _encode_pair(b, c)
+                q = pack_pairs(b, c)
                 pos = np.searchsorted(ks, q)
                 pos[pos == len(ks)] = 0  # out-of-range probes → compare slot 0
                 tri += int((ks[pos] == q).sum())
@@ -290,7 +281,7 @@ def triangle_count(
     else:
         def part_wedge_rows(g: pd.DataFrame) -> pd.DataFrame:
             chunks = [
-                pd.DataFrame({"k": _encode_pair(b, c)}) for b, c in iter_wedges(g)
+                pd.DataFrame({"k": pack_pairs(b, c)}) for b, c in iter_wedges(g)
             ]
             if not chunks:
                 return pd.DataFrame({"k": pd.Series([], dtype="uint64"),
@@ -304,7 +295,7 @@ def triangle_count(
         wedge_rows = by_src.map_groups(part_wedge_rows, batch_format="pandas")
 
         def edge_rows_fn(t: pa.Table) -> pa.Table:
-            k = _encode_pair(
+            k = pack_pairs(
                 pc.cast(t.column("src"), pa.int64()).to_numpy(),
                 pc.cast(t.column("dst"), pa.int64()).to_numpy(),
             )
@@ -444,7 +435,7 @@ def local_triangle_table(
 
     if n_edges <= broadcast_threshold:
         def edge_keys(t: pa.Table) -> pa.Table:
-            k = _encode_pair(
+            k = pack_pairs(
                 pc.cast(t.column("src"), pa.int64()).to_numpy(),
                 pc.cast(t.column("dst"), pa.int64()).to_numpy())
             return pa.table({"k": pa.array(k, pa.uint64())})
@@ -462,15 +453,13 @@ def local_triangle_table(
             credits: list[np.ndarray] = []
             if len(ks):
                 for apex, b, c in iter_wedges(g):
-                    q = _encode_pair(b, c)
+                    q = pack_pairs(b, c)
                     pos = np.searchsorted(ks, q)
                     pos[pos == len(ks)] = 0
                     hit = ks[pos] == q
                     n_hit = int(hit.sum())
                     if n_hit:
-                        credits.append(np.full(n_hit, apex, np.int64))
-                        credits.append((q[hit] >> np.uint64(32)).astype(np.int64))
-                        credits.append((q[hit] & np.uint64(0xFFFFFFFF)).astype(np.int64))
+                        credits += [np.full(n_hit, apex, np.int64), *unpack_pairs(q[hit])]
             return _credit_rows(credits)
 
         per_bucket = by_src.map_groups(part_credits, batch_format="pandas")
@@ -478,7 +467,7 @@ def local_triangle_table(
         def part_wedge_rows(g: pd.DataFrame) -> pd.DataFrame:
             ks, apexes = [], []
             for apex, b, c in iter_wedges(g):
-                q = _encode_pair(b, c)
+                q = pack_pairs(b, c)
                 ks.append(q)
                 apexes.append(np.full(len(q), apex, np.int64))
             if not ks:
@@ -493,7 +482,7 @@ def local_triangle_table(
         wedge_rows = by_src.map_groups(part_wedge_rows, batch_format="pandas")
 
         def edge_rows_fn(t: pa.Table) -> pa.Table:
-            k = _encode_pair(
+            k = pack_pairs(
                 pc.cast(t.column("src"), pa.int64()).to_numpy(),
                 pc.cast(t.column("dst"), pa.int64()).to_numpy())
             return pa.table({"k": pa.array(k, pa.uint64()),
@@ -513,12 +502,10 @@ def local_triangle_table(
             hot = g[g["k"].map(has_edge) & (g["w"] > 0)]
             if hot.empty:
                 return _credit_rows([])
-            k = hot["k"].to_numpy(dtype=np.uint64)
             w = hot["w"].to_numpy(dtype=np.int64)
-            credits = [np.repeat(hot["apex"].to_numpy(dtype=np.int64), w),
-                       np.repeat((k >> np.uint64(32)).astype(np.int64), w),
-                       np.repeat((k & np.uint64(0xFFFFFFFF)).astype(np.int64), w)]
-            return _credit_rows(credits)
+            return _credit_rows(
+                [np.repeat(x, w) for x in (hot["apex"].to_numpy(dtype=np.int64),
+                                           *unpack_pairs(hot["k"].to_numpy(np.uint64)))])
 
         both = wedge_rows.union(
             oriented.map_batches(edge_rows_fn, batch_format="pyarrow")
@@ -830,8 +817,8 @@ def common_neighbor_pairs(
             m.groupby(["dst_a", "dst_b"], as_index=False, sort=False)
             .size()
         )
-        k = _encode_pair(out["dst_a"].to_numpy(np.int64),
-                         out["dst_b"].to_numpy(np.int64))
+        k = pack_pairs(out["dst_a"].to_numpy(np.int64),
+                       out["dst_b"].to_numpy(np.int64))
         return pd.DataFrame({"k": k, "cn": out["size"].astype("int64")})
 
     cand = (
@@ -848,7 +835,7 @@ def common_neighbor_pairs(
         u = df["u"].to_numpy(dtype=np.int64)
         v = df["v"].to_numpy(dtype=np.int64)
         return pd.DataFrame(
-            {"k": _encode_pair(u, v),
+            {"k": pack_pairs(u, v),
              "cn": np.zeros(len(u), np.int64),
              "is_edge": np.ones(len(u), np.int64)}
         )
@@ -867,12 +854,9 @@ def common_neighbor_pairs(
                                  "id_b": pd.Series([], dtype="int64"),
                                  "common_neighbors": pd.Series([], dtype="int64")})
         df = df[(df["is_edge"] == 0) & (df["cn"] >= m)]
-        k = df["k"].to_numpy(np.uint64)
-        return pd.DataFrame(
-            {"id_a": (k >> np.uint64(32)).astype(np.int64),
-             "id_b": (k & np.uint64(0xFFFFFFFF)).astype(np.int64),
-             "common_neighbors": df["cn"].to_numpy(np.int64)}
-        )
+        a, b = unpack_pairs(df["k"].to_numpy(np.uint64))
+        return pd.DataFrame({"id_a": a, "id_b": b,
+                             "common_neighbors": df["cn"].to_numpy(np.int64)})
 
     return merged.map_batches(finish, batch_format="pandas")
 

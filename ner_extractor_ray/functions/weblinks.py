@@ -46,10 +46,13 @@ from .hashing import stable_hash64
 #   - nested <a> inside <a> yields one link (the regex consumes to the first
 #     </a>), not two.
 # The attribute scans on either side of href skip QUOTED attribute values
-# ((?:[^>"']|"[^"]*"|'[^']*')*?), so a '>' inside a quoted value (e.g.
+# ((?:[^>"']|"[^"<]*"|'[^'<]*')*?), so a '>' inside a quoted value (e.g.
 # <a title="a>b" href="/x">) no longer terminates the tag early and drops
-# the anchor — legal, if rare, in crawl html.
-_ATTRS = r"(?:[^>\"']|\"[^\"]*\"|'[^']*')"
+# the anchor — legal, if rare, in crawl html. A quoted value cannot span a
+# '<', so an UNCLOSED quote cannot pair with a quote past the next tag
+# (e.g. past this anchor's </a>) and glue one anchor's href onto a later
+# anchor's text.
+_ATTRS = r"(?:[^>\"']|\"[^\"<]*\"|'[^'<]*')"
 _A_RE = re.compile(
     r"<a\b" + _ATTRS + r"*?href\s*=\s*"
     r"(?:\"([^\"]*)\"|'([^']*)'|([^\s\"'=<>`]+))"

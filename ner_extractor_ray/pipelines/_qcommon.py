@@ -75,6 +75,14 @@ def _floor_log2(n: np.ndarray) -> np.ndarray:
 
 # --------------------------------------------------------------------------
 
+def lift_ppm(n_ab, n_a, n_b, n_total: int) -> list[int]:
+    """⌊10⁶ · n_ab · N / (n_a · n_b)⌋ per row, finished in Python ints: the
+    numerator passes 2^63 at web scale (N ≈ 10⁹ sentences or orders,
+    n_ab ≈ 10⁴), where int64 column arithmetic wraps silently."""
+    return [(1_000_000 * int(ab) * n_total) // (int(a) * int(b))
+            for ab, a, b in zip(n_ab, n_a, n_b)]
+
+
 def _ts_us(s: str) -> int:
     """Epoch µs of an ISO date — deterministic, engine-neutral (the SQL side
     compares against TIMESTAMP literals; both resolve to the same instant)."""

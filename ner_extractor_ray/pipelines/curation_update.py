@@ -34,13 +34,13 @@ import json
 import os
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 import ray.data
 from ray.data.aggregate import Max
 
+from ..functions.blocking import bucket_pairs, pack_pairs, unpack_pair_table
 from ..functions.hashing import stable_hash64
 from ..stages.canonicalize import _compact_blocks, grouped_aggregate
 from ..stages.joins import hash_join
@@ -180,59 +180,25 @@ def update_curation(
         part = pc.cast(t.column("bucket"), pa.int64()).to_numpy() % P
         return t.append_column("__part", pa.array(part, pa.int64()))
 
-    def part_cands(group: pd.DataFrame) -> pd.DataFrame:
+    def part_cands(group: pa.Table) -> pa.Table:
         # candidate pairs with ≥ 1 NEW member (old-old pairs are already
         # decided — the frozen corpus never re-pairs); same bucket cap /
         # sorted-chain skew fallback as the batch LSH plan
-        a, b = [], []
-        for _, g in group.groupby("bucket", sort=False):
-            members = sorted(set(zip(g["doc"], g["side"])))
-            n = len(members)
-            if n < 2:
-                continue
-            pairs = (
-                [(i, jx) for i in range(n) for jx in range(i + 1, n)]
-                if n <= 64 else [(i, i + 1) for i in range(n - 1)]
-            )
-            for i, jx in pairs:
-                (da, sa), (db, sb) = members[i], members[jx]
-                if sa == "o" and sb == "o":
-                    continue
-                if da > db:
-                    da, db = db, da
-                a.append(da)
-                b.append(db)
-        return pd.DataFrame({"id_a": pd.Series(a, dtype="int64"),
-                             "id_b": pd.Series(b, dtype="int64")})
-
-    cands = (
-        all_bands.map_batches(add_part, batch_format="pyarrow")
-        .groupby("__part")
-        .map_groups(part_cands, batch_format="pandas")
-    )
-
-    def pack(t: pa.Table) -> pa.Table:
-        from ..functions.graph import _encode_pair
-
-        a = pc.cast(t.column("id_a"), pa.int64()).to_numpy()
-        b = pc.cast(t.column("id_b"), pa.int64()).to_numpy()
-        return pa.table({"k": pa.array(_encode_pair(a, b), pa.uint64())})
-
-    def unpack(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0 or "k" not in t.column_names:
-            return pa.table({"id_a": pa.array([], pa.int64()),
-                             "id_b": pa.array([], pa.int64())})
-        k = t.column("k").to_numpy()
-        return pa.table(
-            {"id_a": pa.array((k >> np.uint64(32)).astype(np.int64), pa.int64()),
-             "id_b": pa.array((k & np.uint64(0xFFFFFFFF)).astype(np.int64), pa.int64())})
+        i, j = bucket_pairs(group.column("bucket"), group.column("doc"), 64)
+        old = pc.equal(group.column("side"), "o").to_numpy(zero_copy_only=False)
+        keep = ~(old[i] & old[j])
+        doc = pc.cast(group.column("doc"), pa.int64()).to_numpy()
+        k = pack_pairs(doc[i[keep]], doc[j[keep]])
+        return pa.table({"k": pa.array(k, pa.uint64())})
 
     from ray.data.aggregate import Count
 
     cand_pairs = (
-        cands.map_batches(pack, batch_format="pyarrow")
+        all_bands.map_batches(add_part, batch_format="pyarrow")
+        .groupby("__part")
+        .map_groups(part_cands, batch_format="pyarrow")
         .groupby("k").aggregate(Count(alias_name="_nb"))
-        .map_batches(unpack, batch_format="pyarrow")
+        .map_batches(unpack_pair_table, batch_format="pyarrow")
         .materialize()
     )
 

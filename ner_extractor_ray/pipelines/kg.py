@@ -30,7 +30,7 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
-from ..functions.gazetteer import alias_canonical_map, normalize_surface
+from ..functions.gazetteer import alias_canonical_map
 from ..stages.canonicalize import canonicalize_nodes, distinct_nodes
 from ..stages.extract import extract_batch
 from ..stages.joins import hash_join
@@ -114,29 +114,6 @@ def tag_sentences(
             batch_size=batch_size,
         )
     return ds.select_columns(["url", "sent_id", "sentence", "tokens", "n_tokens", "tags"])
-
-
-def _triple_nodes(batch: pa.Table, alias: dict) -> pa.Table:
-    """Attach canonicalization node keys to raw triples (same normalization as
-    the Linker so mention and triple sides agree)."""
-
-    def node_of(surface: str, typ: str) -> str:
-        n = normalize_surface(surface)
-        return f"{typ}:{alias.get(n, n)}"
-
-    subj = batch.column("subj").to_pylist()
-    styp = batch.column("subj_type").to_pylist()
-    obj = batch.column("obj").to_pylist()
-    otyp = batch.column("obj_type").to_pylist()
-    urls = batch.column("url").to_pylist()
-    sids = batch.column("sent_id").to_pylist()
-    return (
-        batch.append_column("subj_node", pa.array([node_of(s, t) for s, t in zip(subj, styp)]))
-        .append_column("obj_node", pa.array([node_of(s, t) for s, t in zip(obj, otyp)]))
-        .append_column(
-            "prov", pa.array([f"{u}#{i:06d}" for u, i in zip(urls, sids)], pa.string())
-        )
-    )
 
 
 def _kv_arrays(assignments: "ray.data.Dataset") -> tuple[pa.Array, pa.Array]:

@@ -61,7 +61,7 @@ ASSIGN_COLS = ["node", "entity_id", "canonical_name", "type", "n_mentions"]
 def _prev_distinct(prev_assign: "ray.data.Dataset") -> "ray.data.Dataset":
     """Rebuild the distinct-node table shape from a frozen assignment table.
 
-    ``node`` is ``f\"{type}:{norm_key}\"`` (kg.py _triple_nodes / the Linker),
+    ``node`` is ``f\"{type}:{norm_key}\"`` (the Annotator's node_of),
     so norm_key is recovered by splitting on the first ':' — no re-read of
     the previous corpus."""
 

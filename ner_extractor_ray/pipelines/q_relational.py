@@ -17,7 +17,7 @@ import ray.data
 from ray.data.aggregate import Count, Max, Min, Sum
 
 from ._qcommon import (
-    _cents, _gagg, _nonempty_or_empty_table, _rp, _ts_us,
+    _cents, _gagg, _nonempty_or_empty_table, _rp, _ts_us, lift_ppm,
 )
 
 
@@ -1325,9 +1325,7 @@ def q_part_lift(sf_dir: str):
                                            "lift_ppm")})
         out = pd.DataFrame({"part_a": df["part_a"], "part_b": df["pk"],
                             "n_ab": df["n_ab"]})
-        lift = [(1_000_000 * int(ab) * n_orders) // (int(a) * int(b))
-                for ab, a, b in zip(df["n_ab"], df["n_a"], df["n_b"])]
-        out["lift_ppm"] = lift
+        out["lift_ppm"] = lift_ppm(df["n_ab"], df["n_a"], df["n_b"], n_orders)
         return out.astype("int64")
 
     return jb.map_batches(finish, batch_format="pandas")

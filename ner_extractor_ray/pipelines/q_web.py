@@ -17,7 +17,7 @@ import ray.data
 from ray.data.aggregate import Count, Max, Min, Sum
 
 from ._qcommon import (
-    _rp,
+    _rp, lift_ppm,
 )
 
 
@@ -503,6 +503,13 @@ def _gold(sf_dir: str, name: str, columns=None):
 GOLD_BROADCAST_LIMIT = 2_000_000
 
 
+def _gold_entities_sql(pdir: str) -> str:
+    """The gazetteer as the oracles join it: one row per surface, its MIN
+    canonical — the same resolution as :func:`_canon_surfaces`."""
+    return (f"(SELECT surface, MIN(canonical) AS canonical FROM "
+            f"read_parquet('{pdir}/gold_entities.parquet') GROUP BY surface)")
+
+
 def _canon_surfaces(ds, sf_dir: str, mapping, *, broadcast_limit=None):
     """Alias-resolve surface columns of ``ds`` against the ``gold_entities``
     gazetteer with the kg.py S7b broadcast-vs-hash-join gate (kg.py:346).
@@ -510,17 +517,24 @@ def _canon_surfaces(ds, sf_dir: str, mapping, *, broadcast_limit=None):
     ``mapping`` = [(src_col, dst_col), ...]: each src column resolves to its
     canonical entity in dst_col; rows whose src has NO gazetteer entry are
     DROPPED (inner semantics — every KG-analytics call site filters unknown
-    surfaces). Below the gate the dict is broadcast and applied vectorized
-    (pandas ``.map``, one C-level dict probe per row); above it each column
-    resolves through a partitioned hash_join against the gazetteer dataset.
-    Both plans produce the same multiset of rows (order differs — every
-    caller aggregates or sorts downstream); the forced-join parity test is
+    surfaces). A surface listed under several canonicals resolves to the
+    MIN one: the gazetteer is reduced to one row per surface BEFORE the
+    gate, so neither plan sees a duplicate key (a broadcast dict would keep
+    one arbitrary row, a join would emit every match). Below the gate the
+    dict is broadcast and applied vectorized (pandas ``.map``, one C-level
+    dict probe per row); above it each column resolves through a
+    partitioned hash_join against the gazetteer dataset. Both plans produce
+    the same multiset of rows (order differs — every caller aggregates or
+    sorts downstream); the forced-join parity tests are
     tests/test_scale_gates.py.
     """
+    from ..stages.canonicalize import grouped_aggregate
     from ..stages.joins import hash_join
 
     limit = GOLD_BROADCAST_LIMIT if broadcast_limit is None else broadcast_limit
-    ge = _gold(sf_dir, "gold_entities", ["surface", "canonical"])
+    ge = grouped_aggregate(_gold(sf_dir, "gold_entities", ["surface", "canonical"]),
+                           ["surface"], Min("canonical", alias_name="canonical")
+                           ).materialize()
     if ge.count() <= limit:
         m: dict = {}
         for b in ge.iter_batches(batch_size=65536, batch_format="pyarrow"):
@@ -921,7 +935,7 @@ def _kg_oracle_sqls(pdir: str) -> dict:
     same external-hash-check discipline as _web_oracle_sqls."""
     gm = f"read_parquet('{pdir}/gold_mentions.parquet')"
     gt = f"read_parquet('{pdir}/gold_triples.parquet')"
-    ge = f"read_parquet('{pdir}/gold_entities.parquet')"
+    ge = _gold_entities_sql(pdir)
     gl = f"read_parquet('{pdir}/gold_links.parquet')"
     return {
         "entity_cooccurrence": f"""
@@ -1204,7 +1218,7 @@ def _crawlops_oracle_sqls(pdir: str) -> dict:
     consumers — same planted-gold-table discipline."""
     gl = f"read_parquet('{pdir}/gold_links.parquet')"
     gt = f"read_parquet('{pdir}/gold_triples.parquet')"
-    ge = f"read_parquet('{pdir}/gold_entities.parquet')"
+    ge = _gold_entities_sql(pdir)
     pr_cte = _gold_pr_cte(pdir, 3)
     return {
         "url_inlink_topk": f"""
@@ -1372,13 +1386,8 @@ def q_entity_lift(sf_dir: str, *, broadcast_limit=None):
 
         def lift(df: pd.DataFrame) -> pd.DataFrame:
             cnt = ray.get(cref)
-            na = df["ent_a"].map(cnt).astype("int64")
-            nb = df["ent_b"].map(cnt).astype("int64")
-            nab = df["n_ab"].astype("int64")
-            return pd.DataFrame(
-                {"ent_a": df["ent_a"], "ent_b": df["ent_b"], "n_ab": nab,
-                 "n_a": na, "n_b": nb,
-                 "lift_ppm": (1_000_000 * nab * n_total) // (na * nb)})
+            return _lift_frame(df, df["ent_a"].map(cnt), df["ent_b"].map(cnt),
+                               n_total)
 
         return pair_counts.map_batches(lift, batch_format="pandas").sort(
             ["ent_a", "ent_b"])
@@ -1398,17 +1407,20 @@ def q_entity_lift(sf_dir: str, *, broadcast_limit=None):
     joined = hash_join(hash_join(pair_counts, ca, on=["ent_a"]),
                        cb, on=["ent_b"])
 
-    def lift_join(df: pd.DataFrame) -> pd.DataFrame:
-        na = df["n_a"].astype("int64")
-        nb = df["n_b"].astype("int64")
-        nab = df["n_ab"].astype("int64")
-        return pd.DataFrame(
-            {"ent_a": df["ent_a"], "ent_b": df["ent_b"], "n_ab": nab,
-             "n_a": na, "n_b": nb,
-             "lift_ppm": (1_000_000 * nab * n_total) // (na * nb)})
+    return joined.map_batches(
+        lambda df: _lift_frame(df, df["n_a"], df["n_b"], n_total),
+        batch_format="pandas").sort(["ent_a", "ent_b"])
 
-    return joined.map_batches(lift_join, batch_format="pandas").sort(
-        ["ent_a", "ent_b"])
+
+def _lift_frame(df: pd.DataFrame, na: pd.Series, nb: pd.Series,
+                n_total: int) -> pd.DataFrame:
+    """entity_lift output rows, shared by the broadcast and hash-join plans."""
+    na, nb, nab = na.astype("int64"), nb.astype("int64"), df["n_ab"].astype("int64")
+    return pd.DataFrame(
+        {"ent_a": df["ent_a"], "ent_b": df["ent_b"], "n_ab": nab,
+         "n_a": na, "n_b": nb,
+         "lift_ppm": pd.Series(lift_ppm(nab, na, nb, n_total),
+                               index=df.index, dtype="int64")})
 
 
 def q_host_spam_features(sf_dir: str):
@@ -1555,7 +1567,7 @@ def _assoc_oracle_sqls(pdir: str) -> dict:
     with the planted gold_links, so the engine's html parse is checked
     against the complete planted structure, nav included."""
     gm = f"read_parquet('{pdir}/gold_mentions.parquet')"
-    ge = f"read_parquet('{pdir}/gold_entities.parquet')"
+    ge = _gold_entities_sql(pdir)
     gl = f"read_parquet('{pdir}/gold_links.parquet')"
     gtx = f"read_parquet('{pdir}/gold_text.parquet')"
     return {
@@ -1768,7 +1780,7 @@ def _batch4_oracle_sqls(pdir: str) -> dict:
     """DuckDB oracles for batch 4 (entity_timeline / triple_conflicts read
     the planted gold tables; hourly_topk_types reads the events view)."""
     gm = f"read_parquet('{pdir}/gold_mentions.parquet')"
-    ge = f"read_parquet('{pdir}/gold_entities.parquet')"
+    ge = _gold_entities_sql(pdir)
     gt = f"read_parquet('{pdir}/gold_triples.parquet')"
     pg = f"read_parquet('{pdir}/pages-*.parquet')"
     return {
@@ -1843,7 +1855,7 @@ def q_entity_host_spread(sf_dir: str, *, broadcast_limit=None):
 
 def _spread_oracle_sql(pdir: str) -> dict:
     gm = f"read_parquet('{pdir}/gold_mentions.parquet')"
-    ge = f"read_parquet('{pdir}/gold_entities.parquet')"
+    ge = _gold_entities_sql(pdir)
     return {
         "entity_host_spread": f"""
             SELECT e.canonical,

@@ -2132,9 +2132,11 @@ def oracle_sql(sf_dir: str = "/root/testdata/sf0.01") -> dict:
         """,
         # mention_confusion: the pipeline's span+type EXACT parity with the
         # planted gold (P/R = 1.0, tests/test_oracle_parity.py) makes the
-        # gold self-join the oracle — any extraction regression surfaces an
-        # off-diagonal cell / count drift and fails the hash gate, which is
-        # strictly stronger than the old rows-only check.
+        # gold self-join the oracle. A MISSED or MIS-TYPED gold mention
+        # fails the hash gate (count drift / off-diagonal cell); an EXTRA
+        # predicted mention cannot: confusion_topk inner-joins pred to gold
+        # on the span keys, so spans absent from gold never reach the counts
+        # — precision is gated by test_oracle_parity, not here.
         "mention_confusion": f"""
             SELECT type AS gold_label, type AS pred_label,
                    CAST(COUNT(*) AS BIGINT) AS n

@@ -25,12 +25,14 @@ re-expressed as LSH blocking + components (SURVEY.md A9).
 
 from __future__ import annotations
 
+import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 from ray.data.aggregate import Min, Sum
 
+from ..functions.blocking import bucket_pairs, union_find_min
 from ..functions.hashing import stable_id
 from ..functions.textfns import band_keys, char_shingles, jaccard, minhash_signature
 from .joins import hash_join
@@ -244,6 +246,10 @@ def distinct_nodes(mentions_ds: "ray.data.Dataset") -> "ray.data.Dataset":
     )
 
 
+# the distinct_nodes table, as the driver plan collects it
+_NODES = pa.schema([("node", pa.string()), ("type", pa.string()),
+                    ("norm_key", pa.string()), ("n_mentions", pa.int64())])
+
 _BUCKET_MIX = 0x9E3779B97F4A7C15  # golden-ratio mixer: (band_id, band_hash) → one int64
 
 
@@ -275,6 +281,21 @@ def _band_rows(batch: pa.Table) -> pa.Table:
     )
 
 
+def _verified_pairs(bands: pa.Table, threshold: float, bucket_cap: int) -> pa.Table:
+    """Band rows → in-bucket node pairs (a, b), a < b, of the same type with
+    char-3 Jaccard ≥ ``threshold``. The one pair generator of both plans."""
+    i, j = bucket_pairs(bands.column("bucket"), bands.column("node"), bucket_cap)
+    types = bands.column("type").to_numpy(zero_copy_only=False)
+    same = types[i] == types[j]
+    i, j = i[same], j[same]
+    keys = bands.column("norm_key").to_numpy(zero_copy_only=False)
+    sh = {k: set(char_shingles(k)) for k in {*keys[i], *keys[j]}}
+    ok = np.fromiter((jaccard(sh[x], sh[y]) >= threshold
+                      for x, y in zip(keys[i], keys[j])), bool, len(i))
+    nodes = bands.column("node")
+    return pa.table({"a": nodes.take(i[ok]), "b": nodes.take(j[ok])})
+
+
 def candidate_pairs(
     nodes_ds: "ray.data.Dataset",
     *,
@@ -284,46 +305,18 @@ def candidate_pairs(
     """LSH blocking + in-bucket verification → pair rows (a, b), a < b."""
     bands = nodes_ds.map_batches(_band_rows, batch_format="pyarrow")
 
-    def part_pairs(group: pd.DataFrame) -> pd.DataFrame:
-        # one Ray group = MANY LSH buckets (bucket % P co-location): Ray's
-        # map_groups costs ~80μs per group, so grouping by the raw bucket id
-        # (≈1 group per node-band) dominated wall time; pandas groupby inside
-        # a coarse group iterates tiny buckets at C speed
-        out_a, out_b = [], []
-        for _, g in group.groupby("bucket", sort=False):
-            if len(g) < 2:
-                continue
-            g = g.drop_duplicates("node").sort_values("node")
-            n = len(g)
-            if n < 2:
-                continue
-            nodes = g["node"].tolist()
-            keys = g["norm_key"].tolist()
-            types = g["type"].tolist()
-            sh = [set(char_shingles(k)) for k in keys]
-            if n <= bucket_cap:
-                idx_pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-            else:
-                # salting cap: sorted chain keeps clusters connected at O(n)
-                idx_pairs = [(i, i + 1) for i in range(n - 1)]
-            for i, j in idx_pairs:
-                if types[i] != types[j]:
-                    continue
-                if jaccard(sh[i], sh[j]) >= threshold:
-                    out_a.append(nodes[i])
-                    out_b.append(nodes[j])
-        return pd.DataFrame({"a": out_a, "b": out_b}, dtype="object")
-
     def add_part(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as _pc
-
-        part = _pc.cast(t.column("bucket"), pa.int64()).to_numpy() % _compact_blocks()
+        part = pc.cast(t.column("bucket"), pa.int64()).to_numpy() % _compact_blocks()
         return t.append_column("__part", pa.array(part, pa.int64()))
 
+    # one Ray group = MANY LSH buckets (bucket % P co-location): Ray's
+    # map_groups costs ~80μs per group, so grouping by the raw bucket id
+    # (≈1 group per node-band) would dominate wall time
     pairs = (
         bands.map_batches(add_part, batch_format="pyarrow")
         .groupby("__part")
-        .map_groups(part_pairs, batch_format="pandas")
+        .map_groups(lambda g: _verified_pairs(g, threshold, bucket_cap),
+                    batch_format="pyarrow")
     )
     # dedup pairs discovered in multiple bands
     return pre_aggregated_count(pairs, ["a", "b"], count_col="_nb").select_columns(["a", "b"])
@@ -343,8 +336,6 @@ def _driver_union_find(pairs_ds: "ray.data.Dataset", nodes_ds: "ray.data.Dataset
     """Small-graph plan: collect (small) pairs + nodes, union-find on the
     driver with lexicographic-min representatives — byte-identical labels to
     the distributed plan at a fraction of the fixed cost."""
-    import ray.data as _rd
-
     from .joins import _as_pa_type, _schema_autocache
 
     nodes_ds, sch = _schema_autocache(nodes_ds)  # probe would run the agg twice
@@ -352,35 +343,17 @@ def _driver_union_find(pairs_ds: "ray.data.Dataset", nodes_ds: "ray.data.Dataset
     # iter_batches + to_pylist, NEVER take_all here: take_all walks pandas-
     # backed blocks (the groupby operators emit them) row-by-row at ~230 µs
     # a row — measured 21 s for a 90k-row participant table vs ~0 s batched
-    nodes: list = []
-    for b in nodes_ds.select_columns(["node"]).iter_batches(
-            batch_size=65536, batch_format="pyarrow"):
-        nodes.extend(b.column("node").to_pylist())
-    parent = {n: n for n in nodes}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for pb in pairs_ds.iter_batches(batch_size=65536, batch_format="pyarrow"):
-        for a, b in zip(pb.column("a").to_pylist(),
-                        pb.column("b").to_pylist()):
-            if a not in parent or b not in parent:
-                continue
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                lo, hi = sorted((ra, rb))
-                parent[hi] = lo
-    return _rd.from_arrow(
-        pa.table(
-            {
-                "node": pa.array(nodes, ntype),
-                "comp": pa.array([find(n) for n in nodes], ntype),
-            }
-        )
-    )
+    nodes = [n for t in nodes_ds.select_columns(["node"]).iter_batches(
+                 batch_size=65536, batch_format="pyarrow")
+             for n in t.column("node").to_pylist()]
+    a, b = [], []
+    for t in pairs_ds.iter_batches(batch_size=65536, batch_format="pyarrow"):
+        a.extend(t.column("a").to_pylist())
+        b.extend(t.column("b").to_pylist())
+    return ray.data.from_arrow(pa.table({
+        "node": pa.array(nodes, ntype),
+        "comp": pa.array(union_find_min(nodes, a, b), ntype),
+    }))
 
 
 def connected_components(
@@ -602,72 +575,21 @@ def canonicalize_nodes(
         )
         return entity_assignments(labels, nodes_distinct, num_partitions=num_partitions)
 
-    rows = rows_batched(nodes_distinct)  # pandas-block take_all is ~230µs/row
-    rows_by_node = {r["node"]: r for r in rows}
-    # same bucketing as _band_rows + bucket_pairs
-    buckets: dict[tuple, list[str]] = {}
-    for r in rows:
-        sig = minhash_signature(char_shingles(r["norm_key"]), NUM_PERM)
-        for b, h in enumerate(band_keys(sig, N_BANDS)):
-            buckets.setdefault(_bucket_key(b, h), []).append(r["node"])
-    parent = {r["node"]: r["node"] for r in rows}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            lo, hi = sorted((ra, rb))
-            parent[hi] = lo
-
-    for bucket_nodes in buckets.values():
-        g = sorted(set(bucket_nodes))
-        if len(g) < 2:
-            continue
-        sh = {nd: set(char_shingles(rows_by_node[nd]["norm_key"])) for nd in g}
-        idx_pairs = (
-            [(i, j) for i in range(len(g)) for j in range(i + 1, len(g))]
-            if len(g) <= bucket_cap
-            else [(i, i + 1) for i in range(len(g) - 1)]
-        )
-        for i, j in idx_pairs:
-            a, b = g[i], g[j]
-            if rows_by_node[a]["type"] != rows_by_node[b]["type"]:
-                continue
-            if jaccard(sh[a], sh[b]) >= threshold:
-                union(a, b)
-
-    comp_members: dict[str, list[str]] = {}
-    for nd in parent:
-        comp_members.setdefault(find(nd), []).append(nd)
-    out = {"node": [], "entity_id": [], "canonical_name": [], "type": [], "n_mentions": []}
-    for rep, members in comp_members.items():
-        rep_min = min(members)
-        eid = stable_id(f"ent:{rep_min}")
-        canonical = min(rows_by_node[m]["norm_key"] for m in members)
-        for m in members:
-            out["node"].append(m)
-            out["entity_id"].append(eid)
-            out["canonical_name"].append(canonical)
-            out["type"].append(rows_by_node[m]["type"])
-            out["n_mentions"].append(rows_by_node[m]["n_mentions"])
-    import ray.data as _rd
-
-    return _rd.from_arrow(
-        pa.table(
-            {
-                "node": pa.array(out["node"], pa.string()),
-                "entity_id": pa.array(out["entity_id"], pa.string()),
-                "canonical_name": pa.array(out["canonical_name"], pa.string()),
-                "type": pa.array(out["type"], pa.string()),
-                "n_mentions": pa.array(out["n_mentions"], pa.int64()),
-            }
-        )
-    )
+    nodes = pa.Table.from_pylist(rows_batched(nodes_distinct), schema=_NODES)
+    pairs = _verified_pairs(_band_rows(nodes), threshold, bucket_cap)
+    comp = union_find_min(nodes.column("node").to_pylist(),
+                          pairs.column("a").to_pylist(), pairs.column("b").to_pylist())
+    canon: dict = {}
+    for c, k in zip(comp, nodes.column("norm_key").to_pylist()):
+        canon[c] = min(canon.get(c, k), k)
+    eid = {c: stable_id(f"ent:{c}") for c in canon}
+    return ray.data.from_arrow(pa.table({
+        "node": nodes.column("node"),
+        "entity_id": pa.array([eid[c] for c in comp], pa.string()),
+        "canonical_name": pa.array([canon[c] for c in comp], pa.string()),
+        "type": nodes.column("type"),
+        "n_mentions": nodes.column("n_mentions"),
+    }))
 
 
 def entity_assignments(

@@ -257,12 +257,11 @@ def phash_neardup_pairs(
     bands through one packed-uint64 groupby keeping the min distance.
     Rows-only vs SQL (the decode is not SQL-expressible); planted-pixel
     unit tests pin recall and the cap path. Output: (id_a, id_b, hamming),
-    id_a < id_b, ids < 2^32 (_encode_pair contract)."""
-    import pandas as pd
+    id_a < id_b, ids < 2^32 (pack_pairs contract)."""
     import pyarrow.compute as pc
     from ray.data.aggregate import Min
 
-    from ..functions.graph import _encode_pair
+    from ..functions.blocking import bucket_pairs, pack_pairs, unpack_pair_table
     from ..stages.canonicalize import _compact_blocks, grouped_aggregate
 
     feats = image_features(
@@ -287,61 +286,24 @@ def phash_neardup_pairs(
              "__part": pa.array(part, pa.int64())}
         )
 
-    def part_cands(group: pd.DataFrame) -> pd.DataFrame:
-        a, b, h = [], [], []
-        for _, g in group.groupby("bucket", sort=False):
-            g = g.drop_duplicates("doc").sort_values("doc")
-            ids = g["doc"].to_numpy()
-            phs = g["ph"].to_numpy().astype(np.uint64)
-            n = len(ids)
-            if n < 2:
-                continue
-            pairs = (
-                [(i, j) for i in range(n) for j in range(i + 1, n)]
-                if n <= bucket_cap
-                else [(i, i + 1) for i in range(n - 1)]  # sorted-chain skew cap
-            )
-            ii = np.fromiter((p[0] for p in pairs), np.int64, len(pairs))
-            jj = np.fromiter((p[1] for p in pairs), np.int64, len(pairs))
-            x = phs[ii] ^ phs[jj]
-            hd = np.unpackbits(x.view(np.uint8)).reshape(len(pairs), 64).sum(1)
-            keep = hd <= max_hamming
-            a.extend(ids[ii[keep]].tolist())
-            b.extend(ids[jj[keep]].tolist())
-            h.extend(hd[keep].astype(np.int64).tolist())
-        return pd.DataFrame(
-            {"id_a": pd.Series(a, dtype="int64"),
-             "id_b": pd.Series(b, dtype="int64"),
-             "hamming": pd.Series(h, dtype="int64")}
-        )
-
-    def pack(t: pa.Table) -> pa.Table:
-        aa = pc.cast(t.column("id_a"), pa.int64()).to_numpy()
-        bb = pc.cast(t.column("id_b"), pa.int64()).to_numpy()
+    def part_cands(group: pa.Table) -> pa.Table:
+        i, j = bucket_pairs(group.column("bucket"), group.column("doc"), bucket_cap)
+        ids = pc.cast(group.column("doc"), pa.int64()).to_numpy()
+        phs = pc.cast(group.column("ph"), pa.int64()).to_numpy().astype(np.uint64)
+        x = phs[i] ^ phs[j]
+        hd = np.unpackbits(x.view(np.uint8)).reshape(len(x), 64).sum(1)
+        keep = hd <= max_hamming
         return pa.table(
-            {"k": pa.array(_encode_pair(aa, bb), pa.uint64()),
-             "hamming": t.column("hamming")}
-        )
-
-    def unpack(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0 or "k" not in t.column_names:
-            return pa.table({"id_a": pa.array([], pa.int64()),
-                             "id_b": pa.array([], pa.int64()),
-                             "hamming": pa.array([], pa.int64())})
-        k = t.column("k").to_numpy()
-        return pa.table(
-            {"id_a": pa.array((k >> np.uint64(32)).astype(np.int64), pa.int64()),
-             "id_b": pa.array((k & np.uint64(0xFFFFFFFF)).astype(np.int64),
-                              pa.int64()),
-             "hamming": pc.cast(t.column("hamming"), pa.int64())}
+            {"k": pa.array(pack_pairs(ids[i[keep]], ids[j[keep]]), pa.uint64()),
+             "hamming": pa.array(hd[keep].astype(np.int64), pa.int64())}
         )
 
     cands = (
         feats.map_batches(bands, batch_format="pyarrow")
         .groupby("__part")
-        .map_groups(part_cands, batch_format="pandas")
+        .map_groups(part_cands, batch_format="pyarrow")
     )
     return grouped_aggregate(
-        cands.map_batches(pack, batch_format="pyarrow"),
-        ["k"], Min("hamming", alias_name="hamming"),
-    ).map_batches(unpack, batch_format="pyarrow")
+        cands, ["k"], Min("hamming", alias_name="hamming"),
+    ).map_batches(unpack_pair_table, batch_format="pyarrow",
+                  fn_kwargs={"keep": ("hamming",)})

@@ -30,8 +30,10 @@ from ..functions.tagging import emissions_for_sentence
 # web corpora repeat boilerplate sentences heavily (nav / footer / template
 # text — measured repeat factor 11× on the bench corpus, ~1.3-2× within one
 # 2048-row batch), so each distinct sentence is scored once per worker.
-# Bounded: inserts stop at the cap (~200k sentences ≈ tens of MB); already-
-# cached entries keep serving. Valid only for the PACKAGED gazetteer trie —
+# Bounded: inserts stop at the cap; already-cached entries keep serving. At
+# the cap the memo holds 200k tuple-of-str keys plus label-list values
+# (to_pylist strings are not interned), i.e. hundreds of MB per worker for
+# 20-40-token sentences — times the tagger actor count. Valid only for the PACKAGED gazetteer trie —
 # gazetteer_token_trie() is lru_cached, so the keyed identity check below
 # invalidates the memo if the trie object ever changes (custom gazetteers).
 _TAG_MEMO: dict = {}

@@ -184,14 +184,27 @@ def test_embedding_neardup_bucket_cap_chain(tmp_path):
 
 
 def _nodes(keys):
+    """``keys``: norm_key strings (type ORG) or (type, norm_key) tuples."""
+    typed = [k if isinstance(k, tuple) else ("ORG", k) for k in keys]
     return ray.data.from_items(
-        [{"node": f"ORG:{k}", "type": "ORG", "norm_key": k, "n_mentions": 1} for k in keys]
+        [{"node": f"{t}:{k}", "type": t, "norm_key": k, "n_mentions": 1} for t, k in typed]
     )
+
+
+def _both_plans(keys, **kw):
+    return [
+        sorted(
+            (r["node"], r["entity_id"], r["canonical_name"])
+            for r in canonicalize_nodes(_nodes(keys), driver_threshold=dt, **kw).take_all()
+        )
+        for dt in (10_000, 0)
+    ]
 
 
 def test_canonicalize_plans_agree():
     """Driver union-find plan (small vocab) and distributed CC plan must
-    produce byte-identical assignments — same pair generation by design."""
+    produce byte-identical assignments — same pair generation by design —
+    on the all-pairs path, the over-cap sorted chain and the type filter."""
     keys = [
         "acme corporation international",
         "acme corporation internationale",
@@ -199,17 +212,29 @@ def test_canonicalize_plans_agree():
         "globex holdings ltd",
         "unrelated zebra company",
     ]
-    driver = sorted(
-        (r["node"], r["entity_id"], r["canonical_name"])
-        for r in canonicalize_nodes(_nodes(keys), driver_threshold=10_000).take_all()
-    )
-    dist = sorted(
-        (r["node"], r["entity_id"], r["canonical_name"])
-        for r in canonicalize_nodes(_nodes(keys), driver_threshold=0).take_all()
-    )
+    driver, dist = _both_plans(keys)
     assert driver == dist
     eids = {e for _, e, _ in driver}
     assert len(eids) == 3  # two merged pairs + one singleton
+
+    # 8 near-identical ORG keys share LSH buckets of 8 > bucket_cap=3 (the
+    # chain branch); one key under two types shares every bucket (the type
+    # filter keeps them apart)
+    from ner_extractor_ray.stages.canonicalize import _band_rows
+
+    keys = [f"initech systems group {c}" for c in "abcdefgh"] + [
+        ("ORG", "umbrella corp"), ("PER", "umbrella corp")]
+    bands = _band_rows(pa.Table.from_pylist(_nodes(keys).take_all()))
+    per_bucket: dict = {}
+    for b, nd in zip(bands.column("bucket").to_pylist(), bands.column("node").to_pylist()):
+        per_bucket.setdefault(b, set()).add(nd)
+    assert max(len(v) for v in per_bucket.values()) > 3
+    assert {"ORG:umbrella corp", "PER:umbrella corp"} in per_bucket.values()
+    driver, dist = _both_plans(keys, bucket_cap=3)
+    assert driver == dist
+    eid = {n: e for n, e, _ in driver}
+    assert len({eid[f"ORG:initech systems group {c}"] for c in "abcdefgh"}) == 1
+    assert eid["ORG:umbrella corp"] != eid["PER:umbrella corp"]
 
 
 def test_bloom_filter_no_false_negatives():

@@ -126,11 +126,11 @@ def test_triangle_count_degree_join_path(edge_thr):
 
 
 def test_encode_pair_raises_on_wide_ids():
-    from ner_extractor_ray.functions.graph import _encode_pair
+    from ner_extractor_ray.functions.blocking import pack_pairs
 
     with pytest.raises(ValueError):
-        _encode_pair(np.array([1 << 32], dtype=np.int64),
-                     np.array([1], dtype=np.int64))
+        pack_pairs(np.array([1 << 32], dtype=np.int64),
+                   np.array([1], dtype=np.int64))
 
 
 def test_common_neighbor_pairs_excludes_adjacent():

@@ -333,3 +333,44 @@ def test_kg_gold_broadcast_gate_join_path_matches_broadcast():
         at_scale = _norm(fn(SF_DIR, broadcast_limit=0))
         pd.testing.assert_frame_equal(bc, at_scale)
         assert len(bc) > 0
+
+
+def test_canon_surfaces_duplicate_surface_plans_agree(tmp_path, monkeypatch):
+    """A gazetteer surface listed under two canonicals resolves to the MIN
+    one on both sides of the _canon_surfaces gate (the broadcast dict used
+    to keep the last row, the hash_join emitted one row per match)."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from ner_extractor_ray.pipelines import q_web
+
+    pq.write_table(pa.table({
+        "surface": ["globex", "acme", "acme"],
+        "canonical": ["Globex", "ACME", "Acme Corp"],  # last row is NOT the min
+    }), str(tmp_path / "gold_entities.parquet"))
+    pq.write_table(pa.table({
+        "url": ["u1", "u1", "u2", "u2"],
+        "sent_id": pa.array([0, 0, 1, 1], pa.int64()),
+        "surface": ["acme", "globex", "acme", "nobody"],
+    }), str(tmp_path / "gold_mentions.parquet"))
+    monkeypatch.setattr(q_web, "_synthetic_pages_dir", lambda sf_dir: str(tmp_path))
+
+    for limit in (None, 0):
+        got = _norm(q_web.q_entity_cooccurrence("sf0.01", broadcast_limit=limit))
+        assert got[["ent_a", "ent_b", "n_sents"]].values.tolist() == \
+            [["ACME", "Globex", 1]], limit
+
+
+def test_lift_ppm_exact_above_int64():
+    """entity_lift's ⌊10⁶·n_ab·N / (n_a·n_b)⌋ finishes in Python ints: the
+    numerator here is 3·10²² > 2⁶³, where int64 column arithmetic wraps."""
+    from ner_extractor_ray.pipelines._qcommon import lift_ppm
+
+    n_ab, n_a, n_b, n_total = 30_000, 40_000, 50_000, 10**12
+    assert 1_000_000 * n_ab * n_total > 2**63
+    exact = (1_000_000 * n_ab * n_total) // (n_a * n_b)
+    got = lift_ppm(pd.Series([n_ab, 1], dtype="int64"),
+                   pd.Series([n_a, 2], dtype="int64"),
+                   pd.Series([n_b, 4], dtype="int64"), n_total)
+    assert got == [exact, (1_000_000 * n_total) // 8]
+    assert exact == 15_000_000_000_000

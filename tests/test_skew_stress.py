@@ -2,9 +2,9 @@
 web-graph flagships — ONE near-dup cluster holding 40% of all documents, and
 ONE host absorbing >50% of all links.
 
-The skew defenses under test (sorted-chain bucket caps in
-functions/dedup.py:178-198 / stages/canonicalize.py:280-292, per-batch
-partial pair counts in functions/weblinks.py) exist precisely for these
+The skew defenses under test (the sorted-chain bucket cap of
+functions/blocking.py:bucket_pairs, per-batch partial pair counts in
+functions/weblinks.py) exist precisely for these
 shapes; until this module nothing FED them a pathological corpus. Each test
 asserts (a) completion, (b) EXACT output against an independently-planted
 expectation, and (c) that the pair/edge traffic stays near-linear — the

@@ -205,6 +205,17 @@ def test_canonical_url_cases():
 
 # --------------------------------------------------- corpus parity vs stdlib
 
+# malformed markup: an unclosed quote inside an anchor must not let the
+# attribute scan run past that anchor's </a> into a later quote
+_MALFORMED = [
+    b'<a href="https://a.b/x" title="unclosed>X</a><p>"</p>'
+    b'<a href="https://a.b/y">Y</a>',
+    b'<a data-x="unclosed href="https://a.b/x">X</a><p>t</p>'
+    b'<a href="https://a.b/y">Y</a>',
+    b'<a title="x>X</a> text "quoted" <a href="https://a.b/y">Y</a>',
+]
+
+
 def test_extract_links_parity_vs_htmlparser(small_pages_dir):
     rows = _pages_rows(small_pages_dir)
     assert len(rows) == 300
@@ -215,6 +226,9 @@ def test_extract_links_parity_vs_htmlparser(small_pages_dir):
         assert got == want, url
         n_links += len(got)
     assert n_links >= 2 * len(rows)  # nav links alone guarantee 2/page
+    base = "https://h.example.com/article-1"
+    for hb in _MALFORMED:
+        assert extract_links(hb, base) == ref_extract(hb, base) != [], hb
 
 
 def test_extract_links_matches_gold_links(small_pages_dir):
