@@ -160,6 +160,80 @@ class _IdLookup:
         return batch
 
 
+def link_ids(
+    mentions: "ray.data.Dataset",
+    triples: "ray.data.Dataset",
+    assignments: "ray.data.Dataset",
+    broadcast_limit: int,
+) -> tuple["ray.data.Dataset", "ray.data.Dataset"]:
+    """S7b: resolve mentions' ``node`` and triples' ``subj_node``/``obj_node``
+    to entity ids. An assignment table of ≤ ``broadcast_limit`` rows is
+    broadcast to an :class:`_IdLookup`; a larger one takes partitioned hash
+    joins. Returns (mentions + entity_id, triples + subj_id/obj_id)."""
+    if assignments.count() <= broadcast_limit:
+        map_ref = ray.put(_kv_arrays(assignments))
+        mentions_linked = mentions.map_batches(
+            _IdLookup(map_ref, [("node", "entity_id")]), batch_format="pyarrow"
+        )
+        triples_ids = triples.map_batches(
+            _IdLookup(map_ref, [("subj_node", "subj_id"), ("obj_node", "obj_id")]),
+            batch_format="pyarrow",
+        )
+        return mentions_linked, triples_ids
+    amap = assignments.select_columns(["node", "entity_id"])
+    smap = amap.map_batches(
+        lambda t: pa.table({"subj_node": t.column("node"), "subj_id": t.column("entity_id")}),
+        batch_format="pyarrow",
+    )
+    omap = amap.map_batches(
+        lambda t: pa.table({"obj_node": t.column("node"), "obj_id": t.column("entity_id")}),
+        batch_format="pyarrow",
+    )
+    return (hash_join(mentions, amap, on=("node",)),
+            hash_join(hash_join(triples, smap, on=("subj_node",)), omap, on=("obj_node",)))
+
+
+def write_graph(
+    nodes: "ray.data.Dataset",
+    edges: "ray.data.Dataset",
+    out_dir: str,
+    *,
+    n_partitions: int,
+    resume: bool,
+    lineage: dict,
+) -> tuple["ray.data.Dataset", "ray.data.Dataset"]:
+    """S9 writes: ``out_dir``/nodes by entity_id and ``out_dir``/edges by
+    subj_id, skipping a table that is already complete under ``resume``.
+    Returns the two written tables, read back.
+
+    The two writes are independent, so they run CONCURRENTLY from two
+    threads and their fixed execution costs overlap (each distributed
+    execution carries ~1-2 s of orchestration on a small cluster;
+    sequential they add, overlapped they don't). Ray Data executions are
+    thread-safe to launch in parallel."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    jobs = []
+    nodes_dir = os.path.join(out_dir, "nodes")
+    edges_dir = os.path.join(out_dir, "edges")
+    if not (table_complete(nodes_dir) and resume):
+        jobs.append(lambda: write_partitioned(
+            nodes, nodes_dir, "entity_id",
+            n_partitions=n_partitions, sort_key="entity_id",
+            resume=resume, lineage={**lineage, "stage": "nodes"}))
+    if not (table_complete(edges_dir) and resume):
+        jobs.append(lambda: write_partitioned(
+            edges, edges_dir, "subj_id",
+            n_partitions=n_partitions,
+            sort_key=["subj_id", "pred", "obj_id"], resume=resume,
+            lineage={**lineage, "stage": "edges"}))
+    if jobs:
+        with ThreadPoolExecutor(max_workers=len(jobs)) as pool:
+            for f in [pool.submit(fn) for fn in jobs]:
+                f.result()  # re-raise worker exceptions
+    return ray.data.read_parquet(nodes_dir), ray.data.read_parquet(edges_dir)
+
+
 def run_kg(
     pages: "ray.data.Dataset",
     out_dir: str | None = None,
@@ -354,28 +428,8 @@ def run_kg(
             assignments = ray.data.read_parquet(assign_dir)
 
     # ---- S7b: resolve mentions/triples to entity ids (broadcast or hash join)
-    n_assign = assignments.count()
-    if n_assign <= broadcast_limit:
-        map_ref = ray.put(_kv_arrays(assignments))
-        mentions_linked = mentions.map_batches(
-            _IdLookup(map_ref, [("node", "entity_id")]), batch_format="pyarrow"
-        )
-        triples_ids = triples.map_batches(
-            _IdLookup(map_ref, [("subj_node", "subj_id"), ("obj_node", "obj_id")]),
-            batch_format="pyarrow",
-        )
-    else:  # huge surface vocabulary: partitioned hash joins instead
-        amap = assignments.select_columns(["node", "entity_id"])
-        mentions_linked = hash_join(mentions, amap, on=("node",))
-        smap = amap.map_batches(
-            lambda t: pa.table({"subj_node": t.column("node"), "subj_id": t.column("entity_id")}),
-            batch_format="pyarrow",
-        )
-        omap = amap.map_batches(
-            lambda t: pa.table({"obj_node": t.column("node"), "obj_id": t.column("entity_id")}),
-            batch_format="pyarrow",
-        )
-        triples_ids = hash_join(hash_join(triples, smap, on=("subj_node",)), omap, on=("obj_node",))
+    mentions_linked, triples_ids = link_ids(mentions, triples, assignments,
+                                            broadcast_limit)
 
     # ---- S9: materialize graph
     nodes = build_nodes(assignments)
@@ -392,33 +446,7 @@ def run_kg(
         "edges": edges,
     }
     if out_dir:
-        nodes_dir = os.path.join(out_dir, "nodes")
-        edges_dir = os.path.join(out_dir, "edges")
-        # The two final writes are independent (nodes ← assignments,
-        # edges ← annotations ⋈ assignments, both already checkpointed) —
-        # drive them CONCURRENTLY from two threads so their fixed execution
-        # costs overlap (each distributed execution carries ~1-2 s of
-        # orchestration here; sequential they add, overlapped they don't).
-        # Ray Data executions are thread-safe to launch in parallel.
-        from concurrent.futures import ThreadPoolExecutor
-
-        jobs = []
-        if not (table_complete(nodes_dir) and resume):
-            jobs.append(("nodes", lambda: write_partitioned(
-                nodes, nodes_dir, "entity_id",
-                n_partitions=n_partitions, sort_key="entity_id",
-                resume=resume, lineage={**lineage, "stage": "nodes"})))
-        if not (table_complete(edges_dir) and resume):
-            jobs.append(("edges", lambda: write_partitioned(
-                edges, edges_dir, "subj_id",
-                n_partitions=n_partitions,
-                sort_key=["subj_id", "pred", "obj_id"], resume=resume,
-                lineage={**lineage, "stage": "edges"})))
-        if jobs:
-            with ThreadPoolExecutor(max_workers=len(jobs)) as pool:
-                futs = [pool.submit(fn) for _, fn in jobs]
-                for f in futs:
-                    f.result()  # re-raise worker exceptions
-        result["nodes"] = ray.data.read_parquet(nodes_dir)
-        result["edges"] = ray.data.read_parquet(edges_dir)
+        result["nodes"], result["edges"] = write_graph(
+            nodes, edges, out_dir, n_partitions=n_partitions, resume=resume,
+            lineage=lineage)
     return result

@@ -22,8 +22,12 @@ This module implements the production id-stability contract instead:
 
 Scale shape: the only corpus-sized pass is the fused annotate chain over
 the NEW pages (the previous corpus is never re-read — its distilled state
-is the node-vocabulary-sized assignments table and the edge table); all
-merge steps are hash joins / grouped aggregates over those small tables.
+is the node-vocabulary-sized assignments table and the edge table). Each
+merged table takes ONE exchange: the frozen vocabulary and the frozen edges
+fold into the new batch's own count/dedup aggregates (``prior=``), and the
+frozen-id remap is one Arrow kernel (:func:`adopt_frozen_ids`) run on the
+driver after a pyarrow join when the joint vocabulary fits
+``broadcast_limit``, else per hash(cid) bucket after one hash join.
 Snapshots are immutable directories — update writes a NEW out_dir whose
 lineage records prev_dir, so any two snapshots diff with snapshot_delta
 and a bad update rolls back by pointing consumers at the previous dir.
@@ -41,41 +45,123 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 import ray.data
-from ray.data.aggregate import Min, Sum
 
 from ..functions.gazetteer import alias_canonical_map
 from ..stages.canonicalize import (
+    _NODES,
     _rename_project,
     canonicalize_nodes,
     distinct_nodes,
-    grouped_aggregate,
 )
-from ..stages.joins import hash_join
+from ..stages.joins import _bucket_hash, hash_join
 from ..stages.materialize import build_nodes, dedup_edges, write_partitioned
 from ..state.manifest import table_complete
-from .kg import _IdLookup, _kv_arrays, default_tagger_concurrency, tag_sentences
+from .kg import default_tagger_concurrency, link_ids, tag_sentences, write_graph
 
-ASSIGN_COLS = ["node", "entity_id", "canonical_name", "type", "n_mentions"]
+ASSIGN_SCHEMA = pa.schema([("node", pa.string()), ("entity_id", pa.string()),
+                           ("canonical_name", pa.string()),
+                           ("type", pa.string()), ("n_mentions", pa.int64())])
+ASSIGN_COLS = ASSIGN_SCHEMA.names
+# a joint-clustering row (cid, c_canon = its cluster's content-derived id
+# and canonical name) left-joined to the frozen row of the same node
+_JOINT = pa.schema([("node", pa.string()), ("cid", pa.string()),
+                    ("c_canon", pa.string()), ("type", pa.string()),
+                    ("n_mentions", pa.int64())])
+_PREV = pa.schema([("node", pa.string()), ("prev_id", pa.string()),
+                   ("prev_canon", pa.string())])
+_JOINED = pa.schema([*_JOINT, *list(_PREV)[1:]])  # adopt_frozen_ids' input
+
+
+def _project(t: pa.Table, src: list[str], schema: pa.Schema) -> pa.Table:
+    """Columns ``src`` of ``t`` renamed and cast to ``schema``; typed empty
+    on the zero-column blocks groupby operators can emit."""
+    return _rename_project(t, list(zip(src, schema.names))).cast(schema)
 
 
 def _prev_distinct(prev_assign: "ray.data.Dataset") -> "ray.data.Dataset":
     """Rebuild the distinct-node table shape from a frozen assignment table.
 
     ``node`` is ``f\"{type}:{norm_key}\"`` (the Annotator's node_of),
-    so norm_key is recovered by splitting on the first ':' — no re-read of
-    the previous corpus."""
+    so norm_key is ``node`` minus its first ``type:`` prefix — no re-read
+    of the previous corpus."""
 
     def fn(t: pa.Table) -> pa.Table:
-        nodes = t.column("node").to_pylist()
-        return pa.table(
-            {"node": t.column("node"),
-             "type": t.column("type"),
-             "norm_key": pa.array(
-                 [n.split(":", 1)[1] for n in nodes], pa.string()),
-             "n_mentions": pc.cast(t.column("n_mentions"), pa.int64())}
-        )
+        norm_key = pc.replace_substring_regex(
+            t.column("node"), "^[^:]*:", "", max_replacements=1)
+        return _project(t.append_column("norm_key", norm_key), _NODES.names, _NODES)
 
     return prev_assign.map_batches(fn, batch_format="pyarrow")
+
+
+def adopt_frozen_ids(joined: pa.Table) -> pa.Table:
+    """The frozen-id remap kernel of both plans.
+
+    ``joined`` holds joint-cluster rows ``(node, cid, c_canon, type,
+    n_mentions, prev_id, prev_canon)``; ``prev_*`` are null for nodes the
+    previous snapshot never saw, and every row of a cluster is present.
+    Returns the NEW nodes' rows as ``ASSIGN_COLS``: a cluster holding frozen
+    nodes lends its new nodes ``min(prev_id)`` and ``min(prev_canon)``; an
+    all-new cluster keeps its ``cid`` and ``c_canon``."""
+    if "cid" not in joined.column_names:
+        return ASSIGN_SCHEMA.empty_table()
+    adopt = joined.group_by("cid").aggregate(
+        [("prev_id", "min"), ("prev_canon", "min")])
+    new = joined.filter(pc.is_null(joined.column("prev_id")))
+    idx = pc.index_in(new.column("cid"),
+                      value_set=adopt.column("cid").combine_chunks())
+    return pa.table([
+        new.column("node"),
+        pc.coalesce(adopt.column("prev_id_min").take(idx), new.column("cid")),
+        pc.coalesce(adopt.column("prev_canon_min").take(idx),
+                    new.column("c_canon")),
+        new.column("type"),
+        new.column("n_mentions"),
+    ], names=ASSIGN_COLS).cast(ASSIGN_SCHEMA)
+
+
+def _collect(ds: "ray.data.Dataset", src: list[str], schema: pa.Schema) -> pa.Table:
+    """``ds`` collected on the driver as one :func:`_project`-ed table."""
+    return pa.concat_tables(
+        [_project(b, src, schema)
+         for b in ds.iter_batches(batch_size=65536, batch_format="pyarrow")]
+        or [schema.empty_table()])
+
+
+def _new_assignments(
+    joint: "ray.data.Dataset",
+    prev_assign: "ray.data.Dataset",
+    *,
+    broadcast_limit: int,
+    n_partitions: int,
+) -> "ray.data.Dataset":
+    """Joint clustering × frozen assignments → the new nodes' assignment
+    rows (:func:`adopt_frozen_ids`). Small plan, when the joint vocabulary
+    is ≤ ``broadcast_limit`` (the S7b gate, same table): collect both sides,
+    pyarrow left join and kernel on the driver. Scale plan: one left hash
+    join on ``node``, then the kernel per hash(cid) bucket — a cluster never
+    straddles buckets, so both plans give the same rows."""
+    prev_src = ASSIGN_COLS[:3]
+    if joint.count() <= broadcast_limit:
+        joined = _collect(joint, ASSIGN_COLS, _JOINT).join(
+            _collect(prev_assign, prev_src, _PREV), "node",
+            join_type="left outer")
+        return ray.data.from_arrow(adopt_frozen_ids(joined))
+
+    def add_bucket(t: pa.Table) -> pa.Table:
+        if "cid" not in t.column_names:
+            t = _JOINED.empty_table()
+        return t.append_column(
+            "__b", pa.array(_bucket_hash(t.column("cid"), n_partitions), pa.int64()))
+
+    joined = hash_join(
+        joint.map_batches(lambda t: _project(t, ASSIGN_COLS, _JOINT),
+                          batch_format="pyarrow"),
+        prev_assign.map_batches(lambda t: _project(t, prev_src, _PREV),
+                                batch_format="pyarrow"),
+        on=("node",), how="left", num_partitions=n_partitions)
+    return (joined.map_batches(add_bucket, batch_format="pyarrow")
+            .groupby("__b")
+            .map_groups(adopt_frozen_ids, batch_format="pyarrow"))
 
 
 def update_kg(
@@ -149,143 +235,37 @@ def update_kg(
         ann = ray.data.read_parquet(ann_dir)
     mentions, triples = split_annotations(ann)
 
-    # ---- joint re-clustering of old+new DISTINCT surfaces (vocab-sized)
-    new_distinct = distinct_nodes(mentions)
-    union_distinct = grouped_aggregate(
-        _prev_distinct(prev_assign).union(new_distinct),
-        ["node", "type", "norm_key"],
-        Sum("n_mentions", alias_name="n_mentions"),
-    ).materialize()
-    union_assign = canonicalize_nodes(
-        union_distinct, num_partitions=n_partitions,
-        threshold=lsh_threshold, bucket_cap=lsh_bucket_cap,
-        driver_threshold=canon_driver_threshold,
-    ).materialize()
-
-    # ---- frozen-id remap, all hash joins over vocab-sized tables
-    def _cid_project(t: pa.Table) -> pa.Table:
-        # typed empty on the zero-column blocks groupby operators can emit
-        # (cannot reuse _rename_project: it types empties as string, and
-        # n_mentions must stay int64 for the union)
-        if t.num_rows == 0 or "node" not in t.column_names:
-            return pa.table({"node": pa.array([], pa.string()),
-                             "cid": pa.array([], pa.string()),
-                             "c_canon": pa.array([], pa.string()),
-                             "type": pa.array([], pa.string()),
-                             "n_mentions": pa.array([], pa.int64())})
-        return pa.table({"node": t.column("node"),
-                         "cid": t.column("entity_id"),
-                         "c_canon": t.column("canonical_name"),
-                         "type": t.column("type"),
-                         "n_mentions": pc.cast(t.column("n_mentions"), pa.int64())})
-
-    cid = union_assign.map_batches(_cid_project, batch_format="pyarrow")
-    prev_ids = prev_assign.map_batches(
-        lambda t: _rename_project(
-            t, [("node", "node"), ("entity_id", "prev_id"),
-                ("canonical_name", "prev_canon")]),
-        batch_format="pyarrow",
-    )
-    # min frozen id (and its canonical name) per joint cluster
-    adopt = grouped_aggregate(
-        hash_join(cid.select_columns(["node", "cid"]), prev_ids,
-                  on=("node",), num_partitions=n_partitions),
-        ["cid"],
-        Min("prev_id", alias_name="adopt_id"),
-        Min("prev_canon", alias_name="adopt_canon"),
-    )
-
-    # new nodes = joint clustering minus frozen nodes (left join, null side)
-    joined = hash_join(cid, prev_ids, on=("node",), how="left",
-                       num_partitions=n_partitions)
-
-    def only_new(df):
-        # emit typed Arrow so 0-row buckets keep a full schema (untyped empty
-        # pandas blocks trip Ray's size estimator and downstream unions)
-        sub = df[df["prev_id"].isnull()]
-        return pa.table(
-            {"node": pa.array(sub["node"], pa.string()),
-             "cid": pa.array(sub["cid"], pa.string()),
-             "c_canon": pa.array(sub["c_canon"], pa.string()),
-             "type": pa.array(sub["type"], pa.string()),
-             "n_mentions": pa.array(sub["n_mentions"].astype("int64"),
-                                    pa.int64())})
-
-    new_nodes = joined.map_batches(only_new, batch_format="pandas")
-    new_with_adopt = hash_join(new_nodes, adopt, on=("cid",), how="left",
-                               num_partitions=n_partitions)
-
-    def finish_new(df):
-        eid = df["adopt_id"].where(df["adopt_id"].notnull(), df["cid"])
-        canon = df["adopt_canon"].where(df["adopt_canon"].notnull(), df["c_canon"])
-        out = df[["node", "type"]].copy()
-        # pandas left-merge upcasts ints to float on buckets with unmatched
-        # rows; pin int64 so the union with the frozen Arrow blocks concats
-        out["n_mentions"] = df["n_mentions"].astype("int64")
-        out["entity_id"] = eid
-        out["canonical_name"] = canon
-        return out[ASSIGN_COLS]
-
-    assignments = prev_assign.union(
-        new_with_adopt.map_batches(finish_new, batch_format="pandas")
-    ).materialize()
-
+    # ---- joint re-clustering of old+new DISTINCT surfaces (vocab-sized):
+    # the frozen vocabulary folds into the new batch's one count aggregate,
+    # then frozen ids are adopted; a resumed run skips all of it
     assign_dir = os.path.join(out_dir, "assignments")
     if not (table_complete(assign_dir) and resume):
-        write_partitioned(assignments, assign_dir, "node",
+        joint = canonicalize_nodes(
+            distinct_nodes(mentions, prior=_prev_distinct(prev_assign)).materialize(),
+            num_partitions=n_partitions, threshold=lsh_threshold,
+            bucket_cap=lsh_bucket_cap, driver_threshold=canon_driver_threshold,
+        ).materialize()
+        new_rows = _new_assignments(joint, prev_assign,
+                                    broadcast_limit=broadcast_limit,
+                                    n_partitions=n_partitions)
+        write_partitioned(prev_assign.union(new_rows), assign_dir, "node",
                           n_partitions=n_partitions, sort_key="node",
                           resume=resume,
                           lineage={**lineage, "stage": "assignments"})
     assignments = ray.data.read_parquet(assign_dir)
 
     # ---- resolve NEW mentions/triples to ids (same size switch as run_kg)
-    n_assign = assignments.count()
-    if n_assign <= broadcast_limit:
-        map_ref = ray.put(_kv_arrays(assignments))
-        mentions_linked = mentions.map_batches(
-            _IdLookup(map_ref, [("node", "entity_id")]), batch_format="pyarrow")
-        triples_ids = triples.map_batches(
-            _IdLookup(map_ref, [("subj_node", "subj_id"), ("obj_node", "obj_id")]),
-            batch_format="pyarrow")
-    else:
-        amap = assignments.select_columns(["node", "entity_id"])
-        mentions_linked = hash_join(mentions, amap, on=("node",))
-        smap = amap.map_batches(
-            lambda t: pa.table({"subj_node": t.column("node"),
-                                "subj_id": t.column("entity_id")}),
-            batch_format="pyarrow")
-        omap = amap.map_batches(
-            lambda t: pa.table({"obj_node": t.column("node"),
-                                "obj_id": t.column("entity_id")}),
-            batch_format="pyarrow")
-        triples_ids = hash_join(
-            hash_join(triples, smap, on=("subj_node",)), omap, on=("obj_node",))
+    mentions_linked, triples_ids = link_ids(mentions, triples, assignments,
+                                            broadcast_limit)
 
-    # ---- exact merge: counts Sum, provenance Min — mergeable across batches
-    new_edges = dedup_edges(
-        triples_ids.select_columns(["subj_id", "pred", "obj_id", "prov"]))
-    edges = grouped_aggregate(
-        prev_edges.union(new_edges),
-        ["subj_id", "pred", "obj_id"],
-        Sum("n_occurrences", alias_name="n_occurrences"),
-        Min("prov", alias_name="prov"),
-    )
-    nodes = build_nodes(assignments)
-
-    result = {"annotations": ann, "mentions": mentions_linked,
-              "triples": triples_ids, "assignments": assignments,
-              "nodes": nodes, "edges": edges}
-    nodes_dir = os.path.join(out_dir, "nodes")
-    edges_dir = os.path.join(out_dir, "edges")
-    if not (table_complete(nodes_dir) and resume):
-        write_partitioned(nodes, nodes_dir, "entity_id",
-                          n_partitions=n_partitions, sort_key="entity_id",
-                          resume=resume, lineage={**lineage, "stage": "nodes"})
-    if not (table_complete(edges_dir) and resume):
-        write_partitioned(edges, edges_dir, "subj_id",
-                          n_partitions=n_partitions,
-                          sort_key=["subj_id", "pred", "obj_id"], resume=resume,
-                          lineage={**lineage, "stage": "edges"})
-    result["nodes"] = ray.data.read_parquet(nodes_dir)
-    result["edges"] = ray.data.read_parquet(edges_dir)
-    return result
+    # ---- exact merge: the frozen edges fold into the new batch's one dedup
+    # aggregate (counts Sum, provenance Min — mergeable across batches)
+    edges = dedup_edges(
+        triples_ids.select_columns(["subj_id", "pred", "obj_id", "prov"]),
+        prior=prev_edges)
+    nodes, edges = write_graph(build_nodes(assignments), edges, out_dir,
+                               n_partitions=n_partitions, resume=resume,
+                               lineage=lineage)
+    return {"annotations": ann, "mentions": mentions_linked,
+            "triples": triples_ids, "assignments": assignments,
+            "nodes": nodes, "edges": edges}

@@ -42,10 +42,15 @@ N_BANDS = 16
 
 
 def pre_aggregated_count(
-    ds: "ray.data.Dataset", keys: list[str], count_col: str = "n_mentions"
+    ds: "ray.data.Dataset", keys: list[str], count_col: str = "n_mentions",
+    prior: "ray.data.Dataset | None" = None,
 ) -> "ray.data.Dataset":
     """groupby(keys).count() with a per-batch combiner (partial aggregation)
-    so hot keys never ship one shuffle row per input row (SURVEY.md §2.5 A2)."""
+    so hot keys never ship one shuffle row per input row (SURVEY.md §2.5 A2).
+
+    ``prior`` (columns ``keys + [count_col]``, already counted) joins the
+    partials before the one aggregate: Sum is associative, so the result
+    equals counting ``ds`` and then summing with ``prior`` in a second pass."""
 
     def partial(df: pd.DataFrame) -> pa.Table:
         g = df.groupby(keys, as_index=False).size().rename(columns={"size": count_col})
@@ -54,6 +59,8 @@ def pre_aggregated_count(
         return pa.Table.from_pandas(g, preserve_index=False)
 
     partials = ds.map_batches(partial, batch_format="pandas")
+    if prior is not None:
+        partials = partials.union(prior.select_columns(keys + [count_col]))
     # compact the (small) partials: shuffle/aggregate cost scales with block
     # COUNT, and per-batch partials are many tiny blocks (13s → 1s observed)
     return grouped_aggregate(
@@ -238,11 +245,17 @@ def _native_grouped_aggregate(
     )
 
 
-def distinct_nodes(mentions_ds: "ray.data.Dataset") -> "ray.data.Dataset":
-    """mentions (with node/norm_key/type) → distinct node table with counts."""
+def distinct_nodes(
+    mentions_ds: "ray.data.Dataset", prior: "ray.data.Dataset | None" = None,
+) -> "ray.data.Dataset":
+    """mentions (with node/norm_key/type) → distinct node table with counts.
+
+    ``prior`` is an already-counted distinct node table (e.g. a previous
+    snapshot's vocabulary); its counts are summed into the same aggregate."""
     return pre_aggregated_count(
         mentions_ds.select_columns(["node", "type", "norm_key"]),
         ["node", "type", "norm_key"],
+        prior=prior,
     )
 
 

@@ -25,12 +25,21 @@ from ..state.manifest import (
 from .canonicalize import pre_aggregated_count  # noqa: F401  (re-exported pattern)
 
 
-def dedup_edges(triples_with_ids: "ray.data.Dataset") -> "ray.data.Dataset":
+EDGE_KEYS = ["subj_id", "pred", "obj_id"]
+
+
+def dedup_edges(
+    triples_with_ids: "ray.data.Dataset", prior: "ray.data.Dataset | None" = None,
+) -> "ray.data.Dataset":
     """(subj_id, pred, obj_id, prov) → deduped edges with occurrence counts and
-    a deterministic provenance sample (min "url#sent_id")."""
+    a deterministic provenance sample (min "url#sent_id").
+
+    ``prior`` is an existing edge table (e.g. a previous snapshot's); its
+    rows join the per-batch partials before the one aggregate, so counts add
+    and ``prov`` takes the min across both (Sum and Min are associative)."""
 
     def partial(df: pd.DataFrame) -> pa.Table:
-        g = df.groupby(["subj_id", "pred", "obj_id"], as_index=False).agg(
+        g = df.groupby(EDGE_KEYS, as_index=False).agg(
             n_occurrences=("prov", "size"), prov=("prov", "min")
         )
         return pa.Table.from_pandas(g, preserve_index=False)  # Arrow blocks shuffle fast
@@ -38,9 +47,12 @@ def dedup_edges(triples_with_ids: "ray.data.Dataset") -> "ray.data.Dataset":
     from .canonicalize import _compact_blocks, grouped_aggregate
 
     partials = triples_with_ids.map_batches(partial, batch_format="pandas")
+    if prior is not None:
+        partials = partials.union(
+            prior.select_columns(EDGE_KEYS + ["n_occurrences", "prov"]))
     return grouped_aggregate(
         partials.repartition(_compact_blocks()),
-        ["subj_id", "pred", "obj_id"],
+        EDGE_KEYS,
         Sum("n_occurrences", alias_name="n_occurrences"),
         Min("prov", alias_name="prov"),
     )
