@@ -99,6 +99,44 @@ def exact_dedup_groups(
     )
 
 
+def exact_dedup_survivors(
+    ds: "ray.data.Dataset", text_col: str, id_col: str
+) -> "ray.data.Dataset":
+    """Exact dedup in ONE exchange: the rows of ``ds`` whose id is the min
+    id among the rows with the same content md5 (null text hashes as "",
+    as in :func:`exact_dedup_groups`). Rows ship whole, bucketed by their
+    md5 % P; each bucket keeps its min-id row per full 16-byte digest, so
+    no id table is built and joined back. Equals exact_dedup_groups'
+    ``keep_id`` semi-joined to ``ds`` when ids are unique (with a
+    repeated id the semi-join would keep every row carrying it)."""
+    from ..stages.canonicalize import _compact_blocks
+
+    P = _compact_blocks()
+
+    def add_key(t: pa.Table) -> pa.Table:
+        digests = [hashlib.md5((v or "").encode("utf-8")).digest()
+                   for v in t.column(text_col).to_pylist()]
+        head = np.frombuffer(b"".join(digests), np.uint8).reshape(-1, 16)[:, :8]
+        b = np.ascontiguousarray(head).view(">u8").ravel() % np.uint64(P)
+        return t.append_column("__h", pa.array(digests, pa.binary())).append_column(
+            "__b", pa.array(b.astype(np.int64), pa.int64()))
+
+    def keep_min(g: pa.Table) -> pa.Table:
+        g = g.take(pc.sort_indices(g, [("__h", "ascending"), (id_col, "ascending")]))
+        h = g.column("__h").combine_chunks()
+        first = np.ones(g.num_rows, bool)
+        if g.num_rows > 1:
+            first[1:] = pc.not_equal(h[1:], h[:-1]).to_numpy(zero_copy_only=False)
+        return g.filter(pa.array(first)).drop_columns(["__h", "__b"])
+
+    # the identity re-batch coalesces the per-group output blocks without a
+    # shuffle, as hash_join's compact_output does: every consumer of the
+    # survivors pays a task per block
+    return (ds.map_batches(add_key, batch_format="pyarrow")
+            .groupby("__b").map_groups(keep_min, batch_format="pyarrow")
+            .map_batches(lambda t: t, batch_format="pyarrow", batch_size=32768))
+
+
 def with_simhash(
     ds: "ray.data.Dataset", text_col: str, id_col: str, out: str = "simhash"
 ) -> "ray.data.Dataset":
@@ -171,6 +209,7 @@ def lsh_near_dup_pairs(
     broadcast_limit: int = 100_000,
     prior_bands: "ray.data.Dataset | None" = None,
     prior_docs: "ray.data.Dataset | None" = None,
+    bands: "ray.data.Dataset | None" = None,
 ) -> "ray.data.Dataset":
     """MinHash-LSH near-duplicate candidate pairs, Jaccard-verified.
 
@@ -193,6 +232,11 @@ def lsh_near_dup_pairs(
     of two frozen docs are never emitted (they were decided when that
     corpus was built), and verify fetches texts from ``ds ∪ prior_docs``
     (id_col, text_col) — the incremental update's near-dup step.
+
+    ``bands`` is ``ds``'s own (doc, bucket) rows, already computed by
+    :func:`band_rows` with the same shingle/num_perm/n_bands (a caller that
+    also writes them reuses one MinHash pass); ``None`` computes them from
+    the text.
     """
     from ..stages.canonicalize import _compact_blocks
 
@@ -221,12 +265,14 @@ def lsh_near_dup_pairs(
         return fn
 
     docs = ds.select_columns([id_col, text_col])
-    rows = docs.map_batches(
-        lambda t: band_rows(t, id_col, text_col, shingle=shingle,
-                            num_perm=num_perm, n_bands=n_bands),
-        batch_format="pyarrow",
-    ).map_batches(add_part(None if prior_bands is None else False),
-                  batch_format="pyarrow")
+    if bands is None:
+        bands = docs.map_batches(
+            lambda t: band_rows(t, id_col, text_col, shingle=shingle,
+                                num_perm=num_perm, n_bands=n_bands),
+            batch_format="pyarrow",
+        )
+    rows = bands.map_batches(add_part(None if prior_bands is None else False),
+                             batch_format="pyarrow")
     if prior_bands is not None:
         rows = rows.union(prior_bands.map_batches(add_part(True),
                                                   batch_format="pyarrow"))
@@ -771,7 +817,11 @@ def near_dup_keep_best_ids(
             .groupby("__b").map_groups(keep_best, batch_format="pyarrow"))
 
 
-def span_dedup_rewrite(
+_SPAN_SCHEMA = pa.schema([("doc", pa.int64()), ("kind", pa.string()),
+                          ("text", pa.string()), ("h", pa.int64())])
+
+
+def span_tagged_rows(
     ds: "ray.data.Dataset",
     id_col: str = "doc_id",
     text_col: str = "text",
@@ -779,18 +829,14 @@ def span_dedup_rewrite(
     n: int = 8,
     num_parts: int | None = None,
 ) -> "ray.data.Dataset":
-    """RefinedWeb-style exact-substring SPAN REMOVAL (the rewrite): every
-    token covered by a word-``n``-gram that also occurs in ≥ 1 OTHER doc is
-    dropped; docs re-emit with only kept tokens.
-
-    Scale shape — two narrow shuffles, ONE text shuffle, no joins: distinct
-    gram md5-hashes ship as 16 B (h, doc) rows hash-partitioned on h (one
-    task sees all holders of a gram; traffic ∝ duplicated content for the
-    shared re-emit), then a side-tagged union on doc co-locates text with
-    its shared-gram set for a row-local rewrite. Output: (id_col, n_tokens,
-    n_removed, kept_text) for docs with ≥ 1 token."""
-    import numpy as np  # captured by the worker-side closures below
-
+    """The input of :func:`span_rewrite`: ``ds``'s text rows (kind "t")
+    unioned with its SHARED-gram rows (kind "h": one (doc, h) row per
+    distinct word-``n``-gram md5 hash ``h`` of the doc that at least one
+    other doc also holds), all keyed by ``doc``. Distinct gram hashes ship
+    as 16 B (h, doc) rows hash-partitioned on h, so one task sees all
+    holders of a gram; traffic ∝ duplicated content for the shared re-emit.
+    Grouping the result by ``doc`` co-locates each text with its
+    shared-gram set for a row-local rewrite."""
     from ..stages.canonicalize import _compact_blocks
     from .textfns import md5_hash64
 
@@ -814,78 +860,109 @@ def span_dedup_rewrite(
                          "doc": pa.array(o_d, pa.int64()),
                          "__part": pa.array(h % P, pa.int64())})
 
-    def shared_rows(group: pd.DataFrame) -> pa.Table:
-        holders = group.groupby("h")["doc"].transform("size")  # distinct rows
-        out = group.loc[holders >= 2, ["doc", "h"]]
-        k = len(out)
-        return pa.table(
-            {"doc": pa.array(out["doc"].to_numpy(dtype=np.int64), pa.int64()),
-             "kind": pa.array(["h"] * k, pa.string()),
-             "text": pa.array([None] * k, pa.string()),
-             "h": pa.array(out["h"].to_numpy(dtype=np.int64), pa.int64())}
-        )
+    def shared_rows(g: pa.Table) -> pa.Table:
+        h = g.column("h").to_numpy()
+        _, inv, holders = np.unique(h, return_inverse=True, return_counts=True)
+        out = g.filter(pa.array(holders[inv] >= 2))  # distinct (h, doc) rows
+        k = out.num_rows
+        return pa.table([out.column("doc"), pa.array(["h"] * k, pa.string()),
+                         pa.nulls(k, pa.string()), out.column("h")],
+                        schema=_SPAN_SCHEMA)
 
     shared = (
         ds.map_batches(grams, batch_format="pyarrow")
         .groupby("__part")
-        .map_groups(shared_rows, batch_format="pandas")
+        .map_groups(shared_rows, batch_format="pyarrow")
     )
 
     def text_rows(t: pa.Table) -> pa.Table:
         return pa.table(
-            {"doc": pc.cast(t.column(id_col), pa.int64()),
-             "kind": pa.array(["t"] * t.num_rows, pa.string()),
-             "text": pc.cast(t.column(text_col), pa.string()),
-             "h": pa.array(np.zeros(t.num_rows, np.int64), pa.int64())}
-        )
+            [pc.cast(t.column(id_col), pa.int64()),
+             pa.array(["t"] * t.num_rows, pa.string()),
+             pc.cast(t.column(text_col), pa.string()),
+             pa.array(np.zeros(t.num_rows, np.int64), pa.int64())],
+            schema=_SPAN_SCHEMA)
+
+    return ds.map_batches(text_rows, batch_format="pyarrow").union(shared)
+
+
+def span_rewrite(t: pa.Table, id_col: str = "doc_id", *, n: int = 8) -> pa.Table:
+    """Row-local rewrite of :func:`span_tagged_rows` output holding ALL rows
+    of its docs: every token covered by a shared word-``n``-gram is dropped.
+    Output (id_col, n_tokens, n_removed, kept_text) per doc with a text row
+    and ≥ 1 token, in doc order."""
+    from .textfns import md5_hash64
+
+    is_t = pc.equal(t.column("kind"), "t")
+    texts = t.filter(is_t)
+    texts = texts.take(pc.sort_indices(texts.column("doc")))
+    sh = t.filter(pc.invert(is_t))
+    sd, shv = sh.column("doc").to_numpy(), sh.column("h").to_numpy()
+    order = np.argsort(sd, kind="stable")
+    sd, shv = sd[order], shv[order]
+    td = texts.column("doc").to_numpy()
+    lo, hi = np.searchsorted(sd, td, "left"), np.searchsorted(sd, td, "right")
+
+    rx = _alnum()
+    hcache: dict[str, int] = {}
+    o_doc, o_nt, o_nr, o_txt = [], [], [], []
+    for doc, s, a, b in zip(texts.column("doc").to_pylist(),
+                            texts.column("text").to_pylist(), lo, hi):
+        toks = rx.findall((s or "").lower())
+        nt = len(toks)
+        if nt == 0:
+            continue
+        shared_h = set(shv[a:b].tolist())
+        covered = np.zeros(nt, dtype=bool)
+        if shared_h and nt >= n:
+            for i in range(nt - n + 1):
+                gstr = " ".join(toks[i:i + n])
+                hv = hcache.get(gstr)
+                if hv is None:
+                    hv = hcache.setdefault(
+                        gstr, int(np.uint64(md5_hash64(gstr)).astype(np.int64)))
+                if hv in shared_h:
+                    covered[i:i + n] = True
+        o_doc.append(doc)
+        o_nt.append(nt)
+        o_nr.append(int(covered.sum()))
+        o_txt.append(" ".join(t_ for t_, c in zip(toks, covered) if not c))
+    return pa.table({id_col: pa.array(o_doc, pa.int64()),
+                     "n_tokens": pa.array(o_nt, pa.int64()),
+                     "n_removed": pa.array(o_nr, pa.int64()),
+                     "kept_text": pa.array(o_txt, pa.string())})
+
+
+def span_dedup_rewrite(
+    ds: "ray.data.Dataset",
+    id_col: str = "doc_id",
+    text_col: str = "text",
+    *,
+    n: int = 8,
+    num_parts: int | None = None,
+) -> "ray.data.Dataset":
+    """RefinedWeb-style exact-substring SPAN REMOVAL (the rewrite): every
+    token covered by a word-``n``-gram that also occurs in ≥ 1 OTHER doc is
+    dropped; docs re-emit with only kept tokens.
+
+    Scale shape — two narrow shuffles, ONE text shuffle, no joins:
+    :func:`span_tagged_rows`, then a shuffle on doc % P feeding
+    :func:`span_rewrite`. (A partitioned write runs the rewrite as its
+    ``finish`` step instead and saves the doc shuffle — pipelines/curation.)
+    Output: (id_col, n_tokens, n_removed, kept_text) for docs with ≥ 1
+    token."""
+    from ..stages.canonicalize import _compact_blocks
+
+    P = int(num_parts or _compact_blocks())
 
     def add_db(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0 or "doc" not in t.column_names:
-            return pa.table({"doc": pa.array([], pa.int64()),
-                             "kind": pa.array([], pa.string()),
-                             "text": pa.array([], pa.string()),
-                             "h": pa.array([], pa.int64()),
-                             "__db": pa.array([], pa.int64())})
+        if "doc" not in t.column_names:
+            t = _SPAN_SCHEMA.empty_table()
         d = pc.cast(t.column("doc"), pa.int64()).to_numpy(zero_copy_only=False)
         return t.append_column("__db", pa.array(d % P, pa.int64()))
 
-    tagged = (
-        ds.map_batches(text_rows, batch_format="pyarrow")
-        .union(shared)
-        .map_batches(add_db, batch_format="pyarrow")
-    )
-
-    def rewrite(g: pd.DataFrame) -> pd.DataFrame:
-        rx = _alnum()
-        hcache: dict[str, int] = {}
-        o_doc, o_nt, o_nr, o_txt = [], [], [], []
-        for doc, sub in g.groupby("doc", sort=False):
-            texts = sub.loc[sub["kind"] == "t", "text"]
-            if texts.empty:
-                continue
-            toks = rx.findall((texts.iloc[0] or "").lower())
-            nt = len(toks)
-            if nt == 0:
-                continue
-            shared_h = set(sub.loc[sub["kind"] == "h", "h"].astype("int64"))
-            covered = np.zeros(nt, dtype=bool)
-            if shared_h and nt >= n:
-                for i in range(nt - n + 1):
-                    gstr = " ".join(toks[i:i + n])
-                    hv = hcache.get(gstr)
-                    if hv is None:
-                        hv = hcache.setdefault(
-                            gstr, int(np.uint64(md5_hash64(gstr)).astype(np.int64)))
-                    if hv in shared_h:
-                        covered[i:i + n] = True
-            kept = [t_ for t_, c in zip(toks, covered) if not c]
-            o_doc.append(doc)
-            o_nt.append(nt)
-            o_nr.append(int(covered.sum()))
-            o_txt.append(" ".join(kept))
-        return pd.DataFrame({id_col: pd.Series(o_doc, dtype="int64"),
-                             "n_tokens": pd.Series(o_nt, dtype="int64"),
-                             "n_removed": pd.Series(o_nr, dtype="int64"),
-                             "kept_text": pd.Series(o_txt, dtype=object)})
-
-    return tagged.groupby("__db").map_groups(rewrite, batch_format="pandas")
+    return (span_tagged_rows(ds, id_col, text_col, n=n, num_parts=P)
+            .map_batches(add_db, batch_format="pyarrow")
+            .groupby("__db")
+            .map_groups(lambda g: span_rewrite(g, id_col, n=n),
+                        batch_format="pyarrow"))

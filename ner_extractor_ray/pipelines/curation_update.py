@@ -43,11 +43,10 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 
-from ..functions.dedup import content_hash63, span_dedup_rewrite
+from ..functions.dedup import content_hash63
 from ..stages.joins import hash_join
-from ..stages.materialize import write_partitioned
 from ..state.manifest import table_complete
-from .curation import near_dup_survivors, quality_exact_dedup, write_state
+from .curation import near_dup_survivors, quality_exact_dedup, write_curation
 
 
 def read_curated_chain(snapshot_dir: str) -> "ray.data.Dataset":
@@ -125,22 +124,17 @@ def update_curation(
     stats["n_after_exact"] = s2.count()
 
     # ---- S3 near-dup keep-best with the frozen corpus folded in ----------
-    _, w_ids, s3 = near_dup_survivors(
+    _, w_ids, s3, bands = near_dup_survivors(
         s2, id_col, text_col, shingle=shingle, lsh_threshold=lsh_threshold,
         prior_bands=prior_bands, prior_docs=prev_docs,
         frozen=prior_state.select_columns([id_col]))
     stats["n_new_kept"] = w_ids.count()
 
-    # ---- S4 span removal among the new survivors (batch-internal) --------
-    curated_new = span_dedup_rewrite(s3, id_col, text_col, n=span_n)
-
-    # ---- write the new snapshot: curated segment + merged state/bands ----
+    # ---- S4 span removal among the new survivors (batch-internal), and the
+    # new snapshot: curated segment + merged state/bands ------------------
     lineage = {"prev_dir": os.path.abspath(prev_dir), **stats}
-    write_partitioned(curated_new, os.path.join(out_dir, "curated"), id_col,
-                      n_partitions=n_partitions, sort_key=id_col,
-                      resume=resume, lineage=lineage)
-    write_state(s3, out_dir, id_col, text_col, shingle=shingle,
-                n_partitions=n_partitions, resume=resume, lineage=lineage,
-                prior_state=prior_state, prior_bands=prior_bands)
-    return {"curated_new": ray.data.read_parquet(os.path.join(out_dir, "curated")),
-            "stats": stats}
+    curated_new = write_curation(
+        out_dir, s3, w_ids, bands, s3, id_col, text_col, span_n=span_n,
+        n_partitions=n_partitions, resume=resume, lineage=lineage,
+        curated_lineage=lineage, prior_state=prior_state, prior_bands=prior_bands)
+    return {"curated_new": curated_new, "stats": stats}

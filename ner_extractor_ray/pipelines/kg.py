@@ -34,7 +34,12 @@ from ..functions.gazetteer import alias_canonical_map
 from ..stages.canonicalize import canonicalize_nodes, distinct_nodes
 from ..stages.extract import extract_batch
 from ..stages.joins import hash_join
-from ..stages.materialize import build_nodes, dedup_edges, write_partitioned
+from ..stages.materialize import (
+    build_nodes,
+    dedup_edges,
+    write_partitioned,
+    write_tables,
+)
 from ..stages.sentseg import sentseg_batch
 from ..stages.tagger import DeterministicTagger
 from ..stages.tokenize import tokenize_batch
@@ -203,35 +208,18 @@ def write_graph(
     lineage: dict,
 ) -> tuple["ray.data.Dataset", "ray.data.Dataset"]:
     """S9 writes: ``out_dir``/nodes by entity_id and ``out_dir``/edges by
-    subj_id, skipping a table that is already complete under ``resume``.
-    Returns the two written tables, read back.
-
-    The two writes are independent, so they run CONCURRENTLY from two
-    threads and their fixed execution costs overlap (each distributed
-    execution carries ~1-2 s of orchestration on a small cluster;
-    sequential they add, overlapped they don't). Ray Data executions are
-    thread-safe to launch in parallel."""
-    from concurrent.futures import ThreadPoolExecutor
-
-    jobs = []
-    nodes_dir = os.path.join(out_dir, "nodes")
-    edges_dir = os.path.join(out_dir, "edges")
-    if not (table_complete(nodes_dir) and resume):
-        jobs.append(lambda: write_partitioned(
-            nodes, nodes_dir, "entity_id",
-            n_partitions=n_partitions, sort_key="entity_id",
-            resume=resume, lineage={**lineage, "stage": "nodes"}))
-    if not (table_complete(edges_dir) and resume):
-        jobs.append(lambda: write_partitioned(
-            edges, edges_dir, "subj_id",
-            n_partitions=n_partitions,
-            sort_key=["subj_id", "pred", "obj_id"], resume=resume,
-            lineage={**lineage, "stage": "edges"}))
-    if jobs:
-        with ThreadPoolExecutor(max_workers=len(jobs)) as pool:
-            for f in [pool.submit(fn) for fn in jobs]:
-                f.result()  # re-raise worker exceptions
-    return ray.data.read_parquet(nodes_dir), ray.data.read_parquet(edges_dir)
+    subj_id, concurrently through :func:`write_tables` (a complete table is
+    skipped under ``resume``). Returns the two written tables, read back."""
+    nodes_out, edges_out = write_tables([
+        dict(ds=nodes, table_dir=os.path.join(out_dir, "nodes"),
+             part_key="entity_id", n_partitions=n_partitions,
+             sort_key="entity_id", lineage={**lineage, "stage": "nodes"}),
+        dict(ds=edges, table_dir=os.path.join(out_dir, "edges"),
+             part_key="subj_id", n_partitions=n_partitions,
+             sort_key=["subj_id", "pred", "obj_id"],
+             lineage={**lineage, "stage": "edges"}),
+    ], resume=resume)
+    return nodes_out, edges_out
 
 
 def run_kg(

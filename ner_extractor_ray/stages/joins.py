@@ -171,6 +171,20 @@ def hash_join(
 
     left, lsch = _schema_autocache(left)
     right, rsch = _schema_autocache(right)
+    if lsch is None or rsch is None:
+        # Ray leaves a side with no rows (a filter dropped them all) with no
+        # blocks and so no schema: the result is the other side's rows where
+        # ``how`` keeps its unmatched rows, else empty. The missing side's
+        # columns are unknown, so they are absent rather than null.
+        if how in ("left", "outer") and lsch is not None:
+            return left
+        if how in ("right", "outer") and rsch is not None:
+            return right
+        sch = lsch or rsch
+        if sch is None:
+            return left
+        return ray.data.from_arrow(pa.table(
+            {n: pa.nulls(0, _as_pa_type(t)) for n, t in zip(sch.names, sch.types)}))
     left_cols = [c for c in lsch.names if not c.startswith("__")]
     right_cols = [c for c in rsch.names if not c.startswith("__")]
     all_cols = list(dict.fromkeys(left_cols + right_cols))  # stable order

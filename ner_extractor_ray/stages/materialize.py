@@ -10,6 +10,8 @@ GroupKFold-by-doc analog, SURVEY.md O3) with per-partition lineage manifests.
 
 from __future__ import annotations
 
+from typing import Callable
+
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -84,8 +86,18 @@ def write_partitioned(
     sort_key: str | list[str] | None = None,
     resume: bool = True,
     lineage: dict | None = None,
+    finish: "Callable[[pa.Table], pa.Table] | None" = None,
 ) -> dict:
     """Write ``part=<crc32(part_key) % n>`` Parquet dirs + manifests.
+
+    ``finish`` is an optional per-partition step: the write task applies it
+    to the partition's rows (all rows sharing ``part_key`` values of that
+    partition, in one table) before the sort, the file and the manifest.
+    Any decision local to a ``part_key`` value — a per-doc rewrite, a
+    semi-join of rows co-partitioned with their keep-marks — then runs
+    inside the write's one exchange instead of a shuffle of its own. Rows,
+    bytes and the manifest count are those of its output; an empty output
+    writes nothing. It must be deterministic: a retried task reruns it.
 
     With ``resume=True``, partitions that already have a manifest are filtered
     out BEFORE any work is written (kill-and-rerun skips finished shards).
@@ -215,6 +227,8 @@ def write_partitioned(
         blobs.sort()
         subs = [pa.ipc.open_stream(io.BytesIO(b)).read_all() for b in blobs]
         out = pa.concat_tables(subs) if subs else None
+        if out is not None and finish is not None:
+            out = finish(out)
         if out is None or out.num_rows == 0:
             return empty
         if sk and set(sk) <= set(out.column_names):
@@ -251,6 +265,34 @@ def write_partitioned(
         .count()
     )
     return finalize_table(table_dir, extra={"lineage": lineage} if lineage else None)
+
+
+def write_tables(tables: list[dict], *, resume: bool = True) -> list["ray.data.Dataset"]:
+    """Write several tables CONCURRENTLY, one thread per table, and return
+    each read back, in order. Each entry holds :func:`write_partitioned`'s
+    arguments (``ds``, ``table_dir``, ``part_key`` and its options); a
+    table that is already complete is skipped under ``resume``. A failed
+    write re-raises here once every started write has returned.
+
+    The writes are independent, so their fixed execution costs overlap
+    (each distributed execution carries ~1-2 s of orchestration on a small
+    cluster; sequential they add, overlapped they don't). Ray Data
+    executions are thread-safe to launch in parallel. Inputs that several
+    of the tables read should be materialized first, or each write
+    re-executes the shared lineage."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    from ..state.manifest import table_complete
+
+    jobs = [spec for spec in tables
+            if not (resume and table_complete(spec["table_dir"]))]
+    if jobs:
+        with ThreadPoolExecutor(max_workers=len(jobs)) as pool:
+            futures = [pool.submit(write_partitioned, resume=resume, **spec)
+                       for spec in jobs]
+            for f in futures:
+                f.result()  # re-raise worker exceptions
+    return [ray.data.read_parquet(spec["table_dir"]) for spec in tables]
 
 
 def compact_table(

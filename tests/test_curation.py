@@ -106,3 +106,56 @@ def test_run_curation_pii_scrub(tmp_path):
     assert t2 == plain.loc[2, "kept_text"]     # clean doc untouched
     # plain output DOES leak the tokenized PII — the contrast the flag fixes
     assert "4567" in plain.loc[0, "kept_text"]
+
+
+def test_run_curation_all_docs_gated(tmp_path):
+    """Every doc fails the quality gate: the empty survivor tables have no
+    schema, and the job still completes with an empty curated table."""
+    src = tmp_path / "docs.parquet"
+    pq.write_table(pa.table({"doc_id": pa.array([1, 2], pa.int64()),
+                             "text": pa.array(["tiny", "short"], pa.string())}), str(src))
+    res = run_curation(ray.data.read_parquet(str(src)), out_dir=str(tmp_path / "cur"),
+                       n_partitions=4)
+    assert res["stats"]["n_quality"] == 0 and res["stats"]["n_curated"] == 0
+
+
+def test_curated_files_carry_no_pandas_metadata(tmp_path):
+    """The curated table is built from Arrow batches end to end: no file
+    carries the ``pandas`` schema metadata, whose dict values Ray cannot
+    hash when it reads the table back (a warning per read)."""
+    src = tmp_path / "docs.parquet"
+    pq.write_table(_docs_table(), str(src))
+    out = str(tmp_path / "cur")
+    run_curation(ray.data.read_parquet(str(src)), out_dir=out, n_partitions=4)
+    files = [os.path.join(d, f) for d, _, fs in os.walk(os.path.join(out, "curated"))
+             for f in fs if f.endswith(".parquet")]
+    assert files
+    for f in files:
+        assert b"pandas" not in (pq.read_schema(f).metadata or {})
+
+
+# Ray Data executions of one run_curation(out_dir=...) on _docs_table():
+# s1, s2, the band rows, LSH candidates and their texts, 5 in connected
+# components, 2 keep-best join sides, the survivor ids and rows, and the
+# three concurrent table writes.
+CURATION_EXECUTIONS = 17
+
+
+def test_run_curation_execution_count(tmp_path, monkeypatch):
+    """Pins the number of Ray Data executions a curation job launches, so a
+    change that adds one (a stray count(), a re-executed lineage) fails."""
+    from ray.data._internal.execution.streaming_executor import StreamingExecutor
+
+    calls = []
+    real = StreamingExecutor.execute
+
+    def spy(self, *a, **k):
+        calls.append(1)
+        return real(self, *a, **k)
+
+    src = tmp_path / "docs.parquet"
+    pq.write_table(_docs_table(), str(src))
+    docs = ray.data.read_parquet(str(src))
+    monkeypatch.setattr(StreamingExecutor, "execute", spy)
+    run_curation(docs, out_dir=str(tmp_path / "cur"), n_partitions=4)
+    assert len(calls) == CURATION_EXECUTIONS

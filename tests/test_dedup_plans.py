@@ -169,6 +169,75 @@ def test_lsh_pairs_broadcast_and_join_plans_agree():
         a not in frozen_ids and b not in frozen_ids for a, b in pairs)
 
 
+def test_lsh_pairs_precomputed_bands_equal_text_path():
+    """lsh_near_dup_pairs(bands=) with the band rows a caller already
+    computed equals the path that computes them from the text, under the
+    broadcast and the hash-join text-fetch plans."""
+    from ner_extractor_ray.functions.dedup import band_rows
+
+    ds = ray.data.read_parquet("/root/testdata/sf0.01/documents.parquet",
+                               columns=["doc_id", "text"]).materialize()
+    bands = ds.map_batches(lambda t: band_rows(t, "doc_id", "text"),
+                           batch_format="pyarrow").materialize()
+    for bl in (100_000, 0):
+        got = [{(r["id_a"], r["id_b"], r["jaccard_ppm"])
+                for r in lsh_near_dup_pairs(ds, "text", "doc_id", broadcast_limit=bl,
+                                            bands=b).take_all()}
+               for b in (None, bands)]
+        assert got[0] == got[1] and got[0]
+
+
+def test_exact_dedup_one_exchange_equals_groups_semi_join():
+    """exact_dedup_survivors (min-id row per content md5, one exchange)
+    equals exact_dedup_groups' keep ids semi-joined back, and so do the
+    quality/exact stage counts, on a multi-block input with duplicates
+    split across blocks, null and empty texts (one md5) and one group that
+    is all duplicates."""
+    from ner_extractor_ray.functions.dedup import exact_dedup_survivors
+    from ner_extractor_ray.pipelines.curation import quality_exact_dedup
+    from ner_extractor_ray.stages.joins import hash_join
+
+    texts = {}
+    for i in range(60):
+        texts[i] = f"doc family {i % 7} some shared words here" if i % 3 else f"unique {i}"
+    texts.update({60: None, 61: "", 62: None, 63: "", 64: "only dups", 65: "only dups",
+                  66: "only dups"})
+    order = sorted(texts, key=lambda i: (i * 37) % 67)  # dups land in several blocks
+    ds = ray.data.from_arrow(pa.table({
+        "doc_id": pa.array(order, pa.int64()),
+        "text": pa.array([texts[i] for i in order], pa.string()),
+    })).repartition(6).materialize()
+    assert ds.num_blocks() == 6
+
+    keep = exact_dedup_groups(ds, "text", "doc_id").map_batches(
+        lambda t: pa.table({"doc_id": t.column("keep_id")}), batch_format="pyarrow")
+    want = sorted((r["doc_id"], r["text"])
+                  for r in hash_join(ds, keep, on=("doc_id",)).take_all())
+    got = sorted((r["doc_id"], r["text"])
+                 for r in exact_dedup_survivors(ds, "text", "doc_id").take_all())
+    assert got == want
+    assert {60, 64} <= {d for d, _ in got} and not {61, 62, 63, 65, 66} & {d for d, _ in got}
+
+    # the curation stage: same survivors and counts as the gate followed by
+    # the id-table plan (min_tokens=0 lets the null and empty texts through
+    # the gate, min_tokens=1 drops them)
+    from ner_extractor_ray.stages.textops import quality_batch
+
+    for min_tokens in (0, 1):
+        kw = dict(min_tokens=min_tokens, max_punct_ratio=1.0, min_stopword_ratio=0.0)
+        s1 = ds.map_batches(
+            lambda t: t.filter(quality_batch(t, text_col="text", id_col="doc_id",
+                                             **kw).column("keep")),
+            batch_format="pyarrow").materialize()
+        keep = exact_dedup_groups(s1, "text", "doc_id").map_batches(
+            lambda t: pa.table({"doc_id": t.column("keep_id")}), batch_format="pyarrow")
+        want = sorted((r["doc_id"], r["text"])
+                      for r in hash_join(s1, keep, on=("doc_id",)).take_all())
+        s2, n_quality, n_exact = quality_exact_dedup(ds, "doc_id", "text", **kw)
+        assert sorted((r["doc_id"], r["text"]) for r in s2.take_all()) == want
+        assert (n_quality, n_exact) == (s1.count(), keep.count())
+
+
 def test_lsh_pairs_empty_corpus():
     docs = ray.data.from_items(
         [{"doc_id": i, "text": f"totally unique sentence number {i} with word salad {i*7}"}

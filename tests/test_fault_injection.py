@@ -125,33 +125,50 @@ def test_fault_stage_noop_without_flag(monkeypatch):
 def test_curation_task_retry_idempotent(tmp_path, monkeypatch):
     """The curation flagship under the same injection: its three
     write_partitioned calls hit the write-point fault (rename→manifest gap)
-    automatically; survivors must match the clean run exactly."""
+    automatically, and the span rewrite runs inside the retried write task;
+    the curated rows must match the clean run exactly. A torn curated
+    partition (its manifest gone, the table unfinished) is rewritten by a
+    rerun with the same rows."""
     import pyarrow as pa
 
     from ner_extractor_ray.pipelines.curation import run_curation
     from ner_extractor_ray.stages import faults
 
     n = 400
+    span = " ".join(f"boiler{j}" for j in range(10))  # shared by every 5th doc
     docs = pa.table({
         "doc_id": pa.array(list(range(n)), pa.int64()),
         "text": pa.array(
-            [" ".join(f"d{i}w{j}" for j in range(30)) if i % 3 else
-             " ".join(f"c w{j}" for j in range(30)) for i in range(n)],
+            [" ".join(f"d{i}w{j}" for j in range(30)) + (" " + span if i % 5 == 1 else "")
+             if i % 3 else " ".join(f"c w{j}" for j in range(30)) for i in range(n)],
             pa.string()),
     })
     ds = ray.data.from_arrow(docs)
+    cols = ["doc_id", "n_tokens", "n_removed", "kept_text"]
+
+    def rows(res):
+        return sorted(tuple(r[c] for c in cols) for r in res["curated"].take_all())
 
     monkeypatch.delenv(faults.FAULT_ENV, raising=False)
-    clean = run_curation(ds, out_dir=str(tmp_path / "c1"), n_partitions=8)
-    c_ids = sorted(clean["curated"].to_pandas()["doc_id"].astype(int))
+    clean = rows(run_curation(ds, out_dir=str(tmp_path / "c1"), n_partitions=8))
 
     monkeypatch.setenv(faults.FAULT_ENV, "1")
     faults.reset()
-    faulty = run_curation(ds, out_dir=str(tmp_path / "c2"), n_partitions=8)
-    f_ids = sorted(faulty["curated"].to_pandas()["doc_id"].astype(int))
+    faulty = rows(run_curation(ds, out_dir=str(tmp_path / "c2"), n_partitions=8))
     assert faults.fired_count() > 0
-    assert f_ids == c_ids and len(c_ids) > 0
+    assert faulty == clean and len(clean) > 0
+    assert any(r[2] > 0 for r in clean)  # the rewrite removed spans
     faults.reset()
+
+    monkeypatch.delenv(faults.FAULT_ENV, raising=False)
+    cur = tmp_path / "c2" / "curated"
+    os.remove(cur / "_TABLE_MANIFEST.json")
+    torn = sorted(p for p in os.listdir(cur) if p.startswith("part="))[0]
+    os.remove(cur / torn / "_MANIFEST.json")
+    resumed = run_curation(ds, out_dir=str(tmp_path / "c2"), n_partitions=8)
+    assert resumed["stats"].get("resumed") is None
+    assert rows(resumed) == clean
+    assert os.path.exists(cur / torn / "_MANIFEST.json")
 
 
 def test_update_kg_task_retry_idempotent(tmp_path, monkeypatch):

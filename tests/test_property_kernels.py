@@ -98,6 +98,22 @@ def test_hash_join_cancels_no_task(ray_session, monkeypatch):
     assert cancels == []
 
 
+def test_hash_join_schema_less_side(ray_session):
+    """A side a filter emptied has no blocks and no schema: the inner join
+    is empty and the left join is the left rows, whichever side it is."""
+    rows = ray.data.from_arrow(pa.table({"k": pa.array([1, 2], pa.int64()),
+                                         "a": pa.array([10, 20], pa.int64())}))
+    empty = ray.data.from_arrow(pa.table({"k": pa.array([1], pa.int64()),
+                                          "b": pa.array([5], pa.int64())})
+                                ).filter(lambda r: False).materialize()
+    assert empty.schema() is None  # the case under test
+    assert hash_join(rows, empty, on=("k",)).take_all() == []
+    assert hash_join(empty, rows, on=("k",)).take_all() == []
+    left = hash_join(rows, empty, on=("k",), how="left").take_all()
+    assert sorted((r["k"], r["a"]) for r in left) == [(1, 10), (2, 20)]
+    assert hash_join(empty, rows, on=("k",), how="left").take_all() == []
+
+
 @settings(max_examples=12, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(keys=_KEYS)
