@@ -72,12 +72,18 @@ def band_rows(
                      "bucket": pa.array(buckets.reshape(-1), pa.int64())})
 
 
+def md5_digests(texts: "pa.Array | pa.ChunkedArray") -> list[bytes]:
+    """The exact-dedup content key: each text's 16-byte md5 (null hashes
+    as "")."""
+    return [hashlib.md5((v or "").encode("utf-8")).digest()
+            for v in texts.to_pylist()]
+
+
 def add_md5(ds: "ray.data.Dataset", col: str, out: str = "h") -> "ray.data.Dataset":
     """Content hash column (md5 hex — intentionally matches SQL md5())."""
 
     def fn(t: pa.Table) -> pa.Table:
-        vals = t.column(col).to_pylist()
-        hs = [hashlib.md5((v or "").encode("utf-8")).hexdigest() for v in vals]
+        hs = [d.hex() for d in md5_digests(t.column(col))]
         return t.append_column(out, pa.array(hs, pa.string()))
 
     return ds.map_batches(fn, batch_format="pyarrow")
@@ -114,8 +120,7 @@ def exact_dedup_survivors(
     P = _compact_blocks()
 
     def add_key(t: pa.Table) -> pa.Table:
-        digests = [hashlib.md5((v or "").encode("utf-8")).digest()
-                   for v in t.column(text_col).to_pylist()]
+        digests = md5_digests(t.column(text_col))
         head = np.frombuffer(b"".join(digests), np.uint8).reshape(-1, 16)[:, :8]
         b = np.ascontiguousarray(head).view(">u8").ravel() % np.uint64(P)
         return t.append_column("__h", pa.array(digests, pa.binary())).append_column(

@@ -157,6 +157,10 @@ def write_curation(
     * ``curated`` — the span rewrite of ``rewrite_src``: its text and
       shared-gram rows (:func:`span_tagged_rows`) are partitioned by doc
       and each write task rewrites its partition (:func:`span_rewrite`).
+      The rewrite therefore runs in ``n_partitions`` tasks, each holding
+      1/``n_partitions`` of the survivors' text and shared-gram rows (the
+      SCALE CONTRACT of :func:`write_partitioned`): size ``n_partitions``
+      to at least the cluster's CPUs, or the rewrite leaves CPUs idle.
     * ``state`` and ``bands`` — the dedup STATE for incremental updates
       (pipelines/curation_update): per kept doc the ORIGINAL-text content
       hash (exact-dup anti key) and its LSH band rows (near-dup candidate
@@ -218,14 +222,21 @@ def run_curation(
     Output rows: (id_col, n_tokens, n_removed, kept_text). With ``out_dir``
     the curated table is written partitioned (``part=crc(id) % n``) with
     per-partition manifests, next to the ``state`` and ``bands`` tables of
-    :func:`write_curation`; a completed table short-circuits the rerun.
+    :func:`write_curation`; a rerun short-circuits only when all three
+    tables are complete.
     With ``redact_pii`` the surviving text is PII-scrubbed in place
     (functions/pii.py vectorized RE2 kernels) at the ROOTS/Dolma pipeline
     position — after dedup, before the corpus ships; row-local, so it
     fuses into the span-rewrite pass with zero extra traffic.
     """
     curated_dir = os.path.join(out_dir, "curated") if out_dir else None
-    if curated_dir and table_complete(curated_dir) and resume:
+    # the three tables are written concurrently, so a complete curated/
+    # does not imply complete state/ and bands/: only a whole snapshot
+    # short-circuits (a partial one reruns; write_tables skips its
+    # complete tables and write_partitioned its complete partitions)
+    if curated_dir and resume and all(
+            table_complete(os.path.join(out_dir, sub))
+            for sub in ("state", "bands", "curated")):
         curated = ray.data.read_parquet(curated_dir)
         return {"curated": curated, "stats": {"resumed": True}}
 

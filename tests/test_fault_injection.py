@@ -128,7 +128,8 @@ def test_curation_task_retry_idempotent(tmp_path, monkeypatch):
     automatically, and the span rewrite runs inside the retried write task;
     the curated rows must match the clean run exactly. A torn curated
     partition (its manifest gone, the table unfinished) is rewritten by a
-    rerun with the same rows."""
+    rerun with the same rows, and so is a torn ``bands`` table next to a
+    complete ``curated`` one."""
     import pyarrow as pa
 
     from ner_extractor_ray.pipelines.curation import run_curation
@@ -169,6 +170,25 @@ def test_curation_task_retry_idempotent(tmp_path, monkeypatch):
     assert resumed["stats"].get("resumed") is None
     assert rows(resumed) == clean
     assert os.path.exists(cur / torn / "_MANIFEST.json")
+
+    # the tables are written concurrently: a complete curated/ next to a
+    # torn bands/ must not short-circuit the rerun, which finishes bands
+    def bands(run):
+        return sorted(tuple(r.values()) for r in
+                      ray.data.read_parquet(str(tmp_path / run / "bands")).take_all())
+
+    bdir = tmp_path / "c2" / "bands"
+    os.remove(bdir / "_TABLE_MANIFEST.json")
+    torn = sorted(p for p in os.listdir(bdir) if p.startswith("part="))[0]
+    os.remove(bdir / torn / "_MANIFEST.json")
+    resumed = run_curation(ds, out_dir=str(tmp_path / "c2"), n_partitions=8)
+    assert resumed["stats"].get("resumed") is None
+    assert rows(resumed) == clean
+    assert os.path.exists(bdir / "_TABLE_MANIFEST.json")
+    assert os.path.exists(bdir / torn / "_MANIFEST.json")
+    assert bands("c2") == bands("c1") and len(bands("c1")) > 0
+    assert run_curation(ds, out_dir=str(tmp_path / "c2"),
+                        n_partitions=8)["stats"] == {"resumed": True}
 
 
 def test_update_kg_task_retry_idempotent(tmp_path, monkeypatch):
