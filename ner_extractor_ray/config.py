@@ -1,10 +1,9 @@
-"""Pipeline configuration + stage registry — the user-extension surface.
+"""Pipeline configuration — the user-extension surface.
 
 Mirrors the reference's YAML-driven config tree with single-key ablation
 overrides (DistilBERT-CRF/configs/default.yaml:1-78, configs/README.md:1-33,
-src/config.py:11-50): a dataclass of engine knobs loadable from YAML, a
-deep-merge override mechanism, and a registry of named map-batches-compatible
-stages so pipelines can be re-composed by name. Reserved toggles fail fast
+src/config.py:11-50): a dataclass of engine knobs loadable from YAML and a
+deep-merge override mechanism. Reserved toggles fail fast
 with NotImplementedError exactly like the reference's use_char_features /
 use_gazetteer guards (src/modeling.py:70-79).
 """
@@ -71,56 +70,3 @@ class PipelineConfig:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-
-# ---- stage registry: named, map_batches-compatible callables -------------
-
-_REGISTRY: dict[str, object] = {}
-
-
-def register_stage(name: str):
-    def deco(fn):
-        _REGISTRY[name] = fn
-        return fn
-
-    return deco
-
-
-def get_stage(name: str):
-    if name not in _REGISTRY:
-        raise KeyError(f"unknown stage {name!r}; known: {sorted(_REGISTRY)}")
-    return _REGISTRY[name]
-
-
-def registered_stages() -> list[str]:
-    return sorted(_REGISTRY)
-
-
-def _populate():
-    from .stages.decode import decode_batch
-    from .stages.extract import extract_batch
-    from .stages.relations import relations_batch
-    from .stages.sentseg import sentseg_batch
-    from .stages.textops import (
-        fingerprint_batch,
-        langid_batch,
-        quality_batch,
-        token_stats_batch,
-    )
-    from .stages.tokenize import tokenize_batch
-
-    for name, fn in {
-        "extract": extract_batch,
-        "sentseg": sentseg_batch,
-        "tokenize": tokenize_batch,
-        "decode": decode_batch,
-        "relations": relations_batch,
-        "langid": langid_batch,
-        "quality": quality_batch,
-        "token_stats": token_stats_batch,
-        "fingerprint": fingerprint_batch,
-    }.items():
-        _REGISTRY.setdefault(name, fn)
-
-
-_populate()

@@ -950,9 +950,11 @@ def q_customers_all_priorities(sf_dir: str):
         pairs.map_batches(lambda t: t.select(["o_custkey"]), batch_format="pyarrow"),
         ["o_custkey"], "n_prio"
     )
+    # vocabulary-sized (5) — the broadcast scalar; a NULL priority is a
+    # group of the count but not a level (COUNT(DISTINCT) skips it)
     divisor = pre_aggregated_count(
         _rp(sf_dir, "orders", ["o_orderpriority"]), ["o_orderpriority"], "m"
-    ).count()  # vocabulary-sized (5) — the broadcast scalar
+    ).map_batches(lambda t: t.drop_null(), batch_format="pyarrow").count()
 
     covering = per_cust.map_batches(
         lambda t: pa.table({"c_custkey": pc.cast(

@@ -1116,7 +1116,10 @@ def q_user_pareto(sf_dir: str):
 
     def packed(t: pa.Table) -> pa.Table:
         cnt = pc.cast(t.column("cnt"), pa.int64()).to_numpy()
-        uid = pc.cast(t.column("user_id"), pa.int64()).to_numpy()
+        # the NULL user is a group too (SQL GROUP BY); it packs last among
+        # equal counts, and ties do not change n_users_80
+        uid = pc.fill_null(pc.cast(t.column("user_id"), pa.int64()),
+                           (1 << 32) - 1).to_numpy()
         return pa.table(
             {"dk": pa.array((((1 << 31) - cnt) << 32) | uid, pa.int64()),
              "cnt": pa.array(cnt, pa.int64())})

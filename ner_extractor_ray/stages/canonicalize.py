@@ -30,7 +30,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
-from ray.data.aggregate import Min, Sum
+from ray.data.aggregate import Count, Max, Min, Sum
 
 from ..functions.blocking import bucket_pairs, union_find_min
 from ..functions.hashing import stable_id
@@ -47,18 +47,14 @@ def pre_aggregated_count(
 ) -> "ray.data.Dataset":
     """groupby(keys).count() with a per-batch combiner (partial aggregation)
     so hot keys never ship one shuffle row per input row (SURVEY.md §2.5 A2).
+    A null key is a group of its own, as in SQL ``GROUP BY``.
 
     ``prior`` (columns ``keys + [count_col]``, already counted) joins the
     partials before the one aggregate: Sum is associative, so the result
     equals counting ``ds`` and then summing with ``prior`` in a second pass."""
-
-    def partial(df: pd.DataFrame) -> pa.Table:
-        g = df.groupby(keys, as_index=False).size().rename(columns={"size": count_col})
-        # Arrow out: sort-shuffling pandas object-dtype blocks is ~7× slower
-        # than Arrow string blocks (16.4s vs 2.3s on the bench profile)
-        return pa.Table.from_pandas(g, preserve_index=False)
-
-    partials = ds.map_batches(partial, batch_format="pandas")
+    specs = _arrow_specs(keys, [Count(alias_name=count_col)])
+    partials = ds.map_batches(lambda t: aggregate_table(t, keys, specs),
+                              batch_format="pyarrow")
     if prior is not None:
         partials = partials.union(prior.select_columns(keys + [count_col]))
     # compact the (small) partials: shuffle/aggregate cost scales with block
@@ -72,10 +68,9 @@ def pre_aggregated_count(
 
 def rows_batched(ds: "ray.data.Dataset", columns: list[str] | None = None) -> list:
     """``take_all()`` replacement for driver-gated collections: take_all
-    walks pandas-backed blocks (every groupby/aggregate operator emits them)
-    ROW-BY-ROW at ~230 µs a row — measured 21 s for a 90k-row participant
-    table — while batched Arrow ``to_pylist`` is ~2 µs/row. Same list-of-row-
-    dicts result."""
+    walks pandas-backed blocks ROW-BY-ROW at ~230 µs a row — measured 21 s
+    for a 90k-row participant table — while batched Arrow ``to_pylist`` is
+    ~2 µs/row. Same list-of-row-dicts result, whatever the block format."""
     if columns is not None:
         ds = ds.select_columns(columns)
     return [r
@@ -103,16 +98,59 @@ def data_partitions(size_bytes: int, *, target_bytes: int = 64 << 20, lo: int = 
     return max(lo, need)
 
 
-_VEC_OPS = {}  # type -> pandas groupby op for the bucketed fast path
+def _arrow_specs(keys: list[str], aggs) -> list[tuple] | None:
+    """Ray aggregates → picklable (name, column, function, option) specs of
+    :func:`aggregate_table`, or None if one of them is not Count/Sum/Min/Max.
+    The option is the count mode (``Count()`` counts rows,
+    ``Count(col, ignore_nulls=True)`` non-nulls) or Sum/Min/Max's skip_nulls."""
+    specs = []
+    for a in aggs:
+        fn = {Count: "count", Sum: "sum", Min: "min", Max: "max"}.get(type(a))
+        if fn is None:
+            return None
+        col, opt = a._target_col_name, a._ignore_nulls
+        if fn == "count":
+            if col is None or not opt:
+                col, opt = keys[0], "all"
+            else:
+                opt = "only_valid"
+        specs.append((a.name, col, fn, opt))
+    return specs
 
 
-def _vec_ops():
-    if not _VEC_OPS:
-        from ray.data.aggregate import Count, Max, Mean, Min, Sum
+def aggregate_table(t: pa.Table, keys: list[str], specs: list[tuple]) -> pa.Table:
+    """The one group-by kernel: Arrow ``group_by(keys).aggregate`` over one
+    table, with SQL semantics (a null key is a group; a Sum of only nulls is
+    null). Output columns are ``keys`` then each spec's name, picked by name."""
+    cols = {k: t.column(k) for k in keys}
+    cols.update({f"__a{i}": t.column(col) for i, (_, col, _, _) in enumerate(specs)})
+    g = pa.table(cols).group_by(keys, use_threads=False).aggregate(
+        [(f"__a{i}", fn, pc.CountOptions(opt) if fn == "count"
+          else pc.ScalarAggregateOptions(skip_nulls=opt))
+         for i, (_, _, fn, opt) in enumerate(specs)])
+    return pa.table({**{k: g.column(k) for k in keys},
+                     **{name: g.column(f"__a{i}_{fn}")
+                        for i, (name, _, fn, _) in enumerate(specs)}})
 
-        _VEC_OPS.update({Sum: "sum", Min: "min", Max: "max",
-                         Mean: "mean", Count: "count"})
-    return _VEC_OPS
+
+_KEY_MIX = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _bucket_ids(t: pa.Table, keys: list[str], n: int) -> pa.Array:
+    """Bucket of each row in [0, n): a pure function of its key VALUES, so
+    a group never splits across buckets, whatever a block's types or nulls.
+    Integer and bool keys hash as int64 with nulls as 0; any other key
+    hashes by its string value. Colliding groups merely share a bucket,
+    where :func:`aggregate_table` still separates them."""
+    h = np.zeros(t.num_rows, np.uint64)
+    for k in keys:
+        c = t.column(k)
+        if pa.types.is_integer(c.type) or pa.types.is_boolean(c.type):
+            c = pc.fill_null(pc.cast(c, pa.int64(), safe=False), 0)
+        else:
+            c = pc.cast(c, pa.string())
+        h = h * _KEY_MIX + pd.util.hash_array(c.to_numpy(zero_copy_only=False))
+    return pa.array((h % np.uint64(n)).astype(np.int64))
 
 
 def grouped_aggregate(
@@ -124,124 +162,31 @@ def grouped_aggregate(
     Ray's native sort-based aggregate pays ~140 µs of per-GROUP Python reduce
     overhead — invisible on a 25-nation groupby, fatal on a high-cardinality
     one (1.2M distinct pair keys = 170 s measured vs ~4 s for the same
-    shuffle volume through 32 coarse groups). Standard Sum/Min/Max/Mean/Count
-    aggregates therefore take a bucketed plan: hash the key columns to
-    ``num_buckets`` coarse buckets (default ``_compact_blocks()``), ONE
-    sort-shuffle on the small int bucket id, then a fully VECTORIZED pandas
-    groupby inside each bucket. Cost is O(rows) + O(distinct · vectorized),
-    independent of group count, and the shuffle payload is identical to the
-    native plan's. Exactness: Sum/Min/Max/Count are order-independent and
-    every key lands in exactly one bucket, so results are bit-equal to the
-    native path (Mean on floats is the usual last-ulp caveat — callers that
-    hash-compare use integer sums).
+    shuffle volume through 32 coarse groups). Count/Sum/Min/Max therefore
+    take a bucketed plan: each row gets a bucket id in ``[0, num_buckets)``
+    (default ``_compact_blocks()``) from its key values, ONE sort-shuffle
+    runs on that small int, and each bucket is aggregated by the Arrow
+    kernel :func:`aggregate_table`. Cost is O(rows), independent of group
+    count, and every key lands in exactly one bucket, so the result is that
+    of one global group-by. Output blocks are Arrow tables.
 
     Scale contract: one bucket (≈ distinct_keys / num_buckets PARTIAL rows —
     callers pre-aggregate per batch, so this is vocabulary-, not corpus-,
-    sized) materializes as a single pandas frame per task; size
-    ``num_buckets`` so that fits a worker heap, exactly like
-    materialize.py's n_partitions.
+    sized) is aggregated as one table per task; size ``num_buckets`` so that
+    fits a worker heap, exactly like materialize.py's n_partitions.
 
-    Exotic aggregates (quantiles, custom AggregateFnV2) fall back to the
-    native engine via one synthetic length-prefixed key column (multi-column
-    string groupby is ~10× slower than single-column — bench profile)."""
-    ops = []
-    for a in aggs:
-        op = _vec_ops().get(type(a))
-        if op is None or getattr(a, "name", None) is None:
-            return _native_grouped_aggregate(ds, keys, *aggs)
-        col = a._target_col_name
-        if op == "count":
-            # Count() counts rows; Count(col, ignore_nulls=True) non-nulls
-            if col is None or not a._ignore_nulls:
-                op, col = "size", keys[0]
-        elif not a._ignore_nulls:
-            return _native_grouped_aggregate(ds, keys, *aggs)
-        ops.append((a.name, col, op))
-
+    Any other aggregate (Mean, quantiles, custom AggregateFnV2) runs as
+    Ray's own ``groupby(keys).aggregate``."""
+    specs = _arrow_specs(keys, aggs)
+    if specs is None:
+        return ds.groupby(keys).aggregate(*aggs)
     P = int(num_buckets or _compact_blocks())
 
-    def add_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        # hash_pandas_object gives None and NaN in OBJECT columns the same
-        # hash (verified), and dtypes are schema-consistent across blocks,
-        # so every logical key tuple lands in exactly one bucket — including
-        # null components. Empty batches keep the full column set so block
-        # schemas stay uniform.
-        h = pd.util.hash_pandas_object(df[keys], index=False).to_numpy()
-        df = df.copy(deep=False)
-        df["__b"] = (h % P).astype("int64")
-        return df
-
-    def agg_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        gb = g.groupby(keys, dropna=False, sort=False)
-        pieces = {}
-        for name, col, op in ops:
-            pieces[name] = gb.size() if op == "size" else gb[col].agg(op)
-        res = pd.DataFrame(pieces).reset_index()
-        # the groupby index materializes missing object keys as float NaN
-        # (and can re-infer an all-null key column as float64); pin object
-        # key columns back to object-with-None so null groups round-trip
-        # and block schemas stay stable
-        for k in keys:
-            if g[k].dtype == object:
-                col = res[k].astype(object)
-                res[k] = col.where(pd.notna(col), None)
-        # ARROW out (round-5): pandas-backed result blocks cost ~7× more in
-        # every downstream sort-shuffle and ~100× in any row-wise collect
-        # (the take_all pathology, rows_batched docstring) — emitting Arrow
-        # here fixes the whole aggregate family at the source; values and
-        # dtypes are unchanged (object-with-None keys → string-with-null)
-        # strip the pandas schema metadata: Ray's schema-dedup hashes block
-        # schemas and a metadata dict makes that fail (log noise only)
-        return pa.Table.from_pandas(
-            res[keys + [name for name, _, _ in ops]],
-            preserve_index=False).replace_schema_metadata(None)
-
     return (
-        ds.map_batches(add_bucket, batch_format="pandas")
+        ds.map_batches(lambda t: t.append_column("__b", _bucket_ids(t, keys, P)),
+                       batch_format="pyarrow")
         .groupby("__b")
-        .map_groups(agg_bucket, batch_format="pandas")
-    )
-
-
-def _native_grouped_aggregate(
-    ds: "ray.data.Dataset", keys: list[str], *aggs
-) -> "ray.data.Dataset":
-    """Ray-native groupby for non-vectorizable aggregates, multi-key via ONE
-    synthetic key column.
-
-    Key encoding: every component is length-prefixed (``<len>:<value>``), so
-    components containing the separator can never collide across groups, and
-    NULL components get an explicit ``N:`` marker distinct from any string
-    value (plain ``binary_join_element_wise`` default null handling would
-    emit a NULL joined key, collapsing all any-null-key rows into one
-    group)."""
-    if len(keys) == 1:
-        return ds.groupby(keys[0]).aggregate(*aggs)
-
-    import pyarrow.compute as pc
-
-    def add_key(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0 or not set(keys) <= set(t.column_names):
-            return t
-        cols = []
-        for k in keys:
-            c = pc.cast(t.column(k), pa.string())
-            lp = pc.binary_join_element_wise(
-                pc.cast(pc.binary_length(c), pa.string()), c, ":"
-            )  # "<len>:<value>" — length prefix kills separator ambiguity
-            cols.append(pc.fill_null(lp, "N:"))
-        gk = cols[0] if len(cols) == 1 else pc.binary_join_element_wise(*cols, "\x00")
-        return t.append_column("__gk", gk)
-
-    carried = [Min(k, alias_name=k) for k in keys]
-    out = (
-        ds.map_batches(add_key, batch_format="pyarrow")
-        .groupby("__gk")
-        .aggregate(*carried, *aggs)
-    )
-    return out.map_batches(
-        lambda t: t.drop_columns(["__gk"]) if "__gk" in t.column_names else t,
-        batch_format="pyarrow",
+        .map_groups(lambda t: aggregate_table(t, keys, specs), batch_format="pyarrow")
     )
 
 
@@ -354,8 +299,8 @@ def _driver_union_find(pairs_ds: "ray.data.Dataset", nodes_ds: "ray.data.Dataset
     nodes_ds, sch = _schema_autocache(nodes_ds)  # probe would run the agg twice
     ntype = _as_pa_type(sch.types[sch.names.index("node")])
     # iter_batches + to_pylist, NEVER take_all here: take_all walks pandas-
-    # backed blocks (the groupby operators emit them) row-by-row at ~230 µs
-    # a row — measured 21 s for a 90k-row participant table vs ~0 s batched
+    # backed blocks row-by-row at ~230 µs a row — measured 21 s for a
+    # 90k-row participant table vs ~0 s batched
     nodes = [n for t in nodes_ds.select_columns(["node"]).iter_batches(
                  batch_size=65536, batch_format="pyarrow")
              for n in t.column("node").to_pylist()]

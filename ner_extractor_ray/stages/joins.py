@@ -324,11 +324,13 @@ def skewed_hash_join(
     key crosses the threshold."""
     from .canonicalize import pre_aggregated_count
 
+    # a NULL key never joins, so it is never hot (``is_in`` and the pandas
+    # merge below would both match null to null)
     counts = pre_aggregated_count(
         left.select_columns([on]), [on], "__n").map_batches(
         lambda t: t.filter(
             pc.greater_equal(pc.cast(t.column("__n"), pa.int64()),
-                             hot_row_threshold)),
+                             hot_row_threshold)).drop_null(),
         batch_format="pyarrow")
     hot_rows = counts.take_all()
     if not hot_rows:

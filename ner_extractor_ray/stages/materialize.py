@@ -12,11 +12,10 @@ from __future__ import annotations
 
 from typing import Callable
 
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
-from ray.data.aggregate import Min, Sum
+from ray.data.aggregate import Count, Min, Sum
 
 from ..functions.hashing import crc_bucket
 from ..state.manifest import (
@@ -24,7 +23,6 @@ from ..state.manifest import (
     finalize_table,
     write_partition_manifest,
 )
-from .canonicalize import pre_aggregated_count  # noqa: F401  (re-exported pattern)
 
 
 EDGE_KEYS = ["subj_id", "pred", "obj_id"]
@@ -39,16 +37,12 @@ def dedup_edges(
     ``prior`` is an existing edge table (e.g. a previous snapshot's); its
     rows join the per-batch partials before the one aggregate, so counts add
     and ``prov`` takes the min across both (Sum and Min are associative)."""
+    from .canonicalize import _arrow_specs, _compact_blocks, aggregate_table, grouped_aggregate
 
-    def partial(df: pd.DataFrame) -> pa.Table:
-        g = df.groupby(EDGE_KEYS, as_index=False).agg(
-            n_occurrences=("prov", "size"), prov=("prov", "min")
-        )
-        return pa.Table.from_pandas(g, preserve_index=False)  # Arrow blocks shuffle fast
-
-    from .canonicalize import _compact_blocks, grouped_aggregate
-
-    partials = triples_with_ids.map_batches(partial, batch_format="pandas")
+    specs = _arrow_specs(EDGE_KEYS, [Count(alias_name="n_occurrences"),
+                                     Min("prov", alias_name="prov")])
+    partials = triples_with_ids.map_batches(
+        lambda t: aggregate_table(t, EDGE_KEYS, specs), batch_format="pyarrow")
     if prior is not None:
         partials = partials.union(
             prior.select_columns(EDGE_KEYS + ["n_occurrences", "prov"]))

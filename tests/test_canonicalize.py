@@ -88,7 +88,7 @@ def test_connected_components_long_chain_converges():
 
 
 def test_grouped_aggregate_null_and_separator_keys():
-    from ray.data.aggregate import Sum
+    from ray.data.aggregate import Count, Sum
 
     from ner_extractor_ray.stages.canonicalize import grouped_aggregate
 
@@ -110,6 +110,18 @@ def test_grouped_aggregate_null_and_separator_keys():
     assert out[(None, "b")] == 8         # …but only per distinct key tuple
     assert len(out) == 4
 
+    # nullable int keys over two blocks, one of them with a null: the same
+    # key value must land in one group whichever block it came from, and
+    # the null key is one group of its own in both count paths
+    blocks = ray.data.from_arrow([pa.table({"k": pa.array(ks, pa.int64())})
+                                  for ks in ([1, 2, 3, None], [1, 2, 3, 4])])
+    want = {1: 2, 2: 2, 3: 2, 4: 1, None: 1}
+    for counted in (grouped_aggregate(blocks, ["k"], Count(alias_name="n")),
+                    pre_aggregated_count(blocks, ["k"], "n")):
+        rows = counted.take_all()
+        assert len(rows) == len(want)
+        assert {r["k"]: r["n"] for r in rows} == want
+
 
 def test_pre_aggregated_count_skew():
     # one hot key = 50% of rows (FIXTURES.md §4 skew fixture): result exact
@@ -130,3 +142,32 @@ def test_oversized_bucket_chain_preserves_connectivity():
     labels = connected_components(pairs, nd)
     comps = {r["comp"] for r in labels.take_all()}
     assert len(comps) == 1
+
+
+def test_aggregate_family_emits_arrow_blocks():
+    # the aggregate family and the graph tables built on it emit Arrow
+    # tables with no pandas schema metadata (which Ray's schema dedup
+    # cannot hash, and which makes every downstream shuffle slower)
+    import ray
+    from ray.data.aggregate import Min
+
+    from ner_extractor_ray.stages.canonicalize import grouped_aggregate
+    from ner_extractor_ray.stages.materialize import build_nodes, dedup_edges
+
+    triples = ray.data.from_items(
+        [{"subj_id": f"s{i % 3}", "pred": "p", "obj_id": f"o{i % 2}",
+          "prov": f"u#{i}"} for i in range(20)]).repartition(3)
+    assignments = ray.data.from_items(
+        [{"node": f"n{i}", "entity_id": f"e{i % 4}", "canonical_name": f"c{i}",
+          "type": "ORG", "n_mentions": i} for i in range(12)])
+    for ds in (grouped_aggregate(triples, ["subj_id"], Min("prov", alias_name="prov")),
+               pre_aggregated_count(triples, ["pred"], "n"),
+               dedup_edges(triples),
+               build_nodes(assignments)):
+        blocks = [ray.get(ref)
+                  for bundle in ds.materialize().iter_internal_ref_bundles()
+                  for ref, _ in bundle.blocks]
+        assert blocks
+        for b in blocks:
+            assert isinstance(b, pa.Table)
+            assert b"pandas" not in (b.schema.metadata or {})

@@ -1,4 +1,4 @@
-"""Config surface, stage registry, CLI entry (S5/M16/§2.10 parity)."""
+"""Config surface, CLI entry (S5/M16/§2.10 parity)."""
 
 import json
 import subprocess
@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from ner_extractor_ray.config import PipelineConfig, get_stage, registered_stages
+from ner_extractor_ray.config import PipelineConfig
 
 
 def test_defaults_validate():
@@ -36,16 +36,6 @@ def test_reserved_toggle_fails_fast():
 def test_hf_requires_checkpoint():
     with pytest.raises(ValueError, match="hf_checkpoint"):
         PipelineConfig(tagger="hf").validate()
-
-
-def test_stage_registry():
-    names = registered_stages()
-    for expected in ("extract", "sentseg", "tokenize", "decode", "relations",
-                     "langid", "quality", "token_stats", "fingerprint"):
-        assert expected in names
-    assert callable(get_stage("extract"))
-    with pytest.raises(KeyError):
-        get_stage("nope")
 
 
 def test_cli_rejects_unhonorable_keys(tmp_path):

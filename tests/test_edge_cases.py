@@ -289,3 +289,37 @@ def test_golden_records_survivorship(tmp_path):
     assert not (merged["lang"] == "zz").any()       # Min rule kept original
     assert (merged["rep_id"] < 100_000).all()       # Min id = original
     assert norm(rdf) == norm(sdf)
+
+
+def test_null_group_keys_match_oracle(tmp_path):
+    """The sf tables hold no NULL keys. A NULL user is one GROUP BY group of
+    its own, and a NULL priority is a distinct pair but not a priority
+    level (COUNT(DISTINCT) skips it): both queries must match the oracle."""
+    import duckdb
+    import pyarrow.parquet as pq
+
+    from ner_extractor_ray.pipelines.queries import oracle_sql, queries
+
+    pq.write_table(pa.table({"user_id": pa.array(
+        [1, 1, 1, 2, 2, None, None, None, None, 3], pa.int64())}),
+        tmp_path / "events.parquet")
+    pq.write_table(pa.table({
+        "c_custkey": pa.array([1, 2, 3], pa.int64()),
+        "c_name": pa.array(["a", "b", "c"])}), tmp_path / "customer.parquet")
+    pq.write_table(pa.table({
+        "o_custkey": pa.array([1, 1, 2, 2, 3], pa.int64()),
+        "o_orderpriority": pa.array(["1-URGENT", "2-HIGH", "1-URGENT", None,
+                                     "1-URGENT"])}), tmp_path / "orders.parquet")
+    con = duckdb.connect()
+    for t in ("events", "customer", "orders"):
+        con.execute(f"CREATE VIEW {t} AS SELECT * FROM "
+                    f"read_parquet('{tmp_path}/{t}.parquet')")
+
+    def norm(df):
+        cols = sorted(df.columns)
+        return sorted(map(repr, df[cols].itertuples(index=False, name=None)))
+
+    for name in ("user_pareto", "customers_all_priorities"):
+        rdf = queries()[name](str(tmp_path)).to_pandas()
+        sdf = con.execute(oracle_sql()[name]).fetchdf()
+        assert norm(rdf) == norm(sdf), name

@@ -245,6 +245,29 @@ def test_skewed_hash_join_mixed_split_matches_plain():
     pd.testing.assert_frame_equal(got, want)
 
 
+def test_skewed_hash_join_null_keys_never_hot():
+    # 6 NULL probe keys cross the threshold, but NULL never joins: the
+    # null-key build row must not match them (hash_join keeps only k=1).
+    import ray.data
+
+    from ner_extractor_ray.stages.joins import hash_join, skewed_hash_join
+
+    left = ray.data.from_arrow(pa.table({
+        "k": pa.array([None] * 6 + [1], pa.int64()),
+        "payload": pa.array(list(range(7)), pa.int64()),
+    }))
+    right = ray.data.from_arrow(pa.table({
+        "k": pa.array([None, 1], pa.int64()),
+        "dim": pa.array(["null", "a"]),
+    }))
+
+    def norm(ds):
+        return sorted((r["k"], r["payload"], r["dim"]) for r in ds.take_all())
+
+    got = norm(skewed_hash_join(left, right, "k", hot_row_threshold=3))
+    assert got == norm(hash_join(left, right, on=("k",))) == [(1, 6, "a")]
+
+
 def test_skewed_hash_join_all_hot_no_cold_union():
     # every probe key hot → the cold side is EMPTY; the implementation must
     # not union with a schemaless empty dataset.
