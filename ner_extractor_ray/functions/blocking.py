@@ -92,7 +92,10 @@ def pack_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     bits — true for any vocabulary-assigned id space (parts, canonical
     entity ids, document ids). Checked with an explicit raise (not
     ``assert``) so the invariant survives ``python -O``; silent aliasing
-    would corrupt every count keyed on the pair."""
+    would corrupt every count keyed on the pair. Called inside a Ray task
+    (every engine caller), the ``ValueError`` reaches the driver as Ray's
+    task error, whose message carries ``ValueError: node ids exceed 32
+    bits``; it is not a bare ``ValueError`` there."""
     if a.size and (int(a.max()) >= (1 << 32) or int(b.max()) >= (1 << 32)):
         raise ValueError("node ids exceed 32 bits — widen the pair encoding")
     return (a.astype(np.uint64) << np.uint64(32)) | b.astype(np.uint64)

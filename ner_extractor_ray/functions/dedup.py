@@ -226,8 +226,10 @@ def lsh_near_dup_pairs(
     across bands; ``jaccard_ppm = (|∩| * 10^6) // |∪|`` is exact integer
     arithmetic so the DuckDB oracle can hash-match it (no float rounding).
     ``id_col`` must be integer ids < 2^32 (the pair-dedup shuffle packs a
-    pair into one uint64 key; pack_pairs raises on wider ids — pre-map
-    wider id spaces first).
+    pair into one uint64 key — pre-map wider id spaces first). A wider id
+    fails the plan when it executes: pack_pairs raises in a Ray task, so
+    the caller gets Ray's task error whose message carries ``ValueError:
+    node ids exceed 32 bits``, not a bare ``ValueError``.
     The whole plan — md5 base hash, uint64 permutations, FNV band polynomial,
     bucket cap with chain fallback, exact-Jaccard verify — is replicated in
     ANSI SQL by ``oracle_sql()['minhash_neardup' / 'ngram_jaccard_neardup']``.
@@ -685,33 +687,19 @@ def fuzzy_name_pairs(
 def near_dup_keep_ids(pairs_ds: "ray.data.Dataset", all_ids_ds: "ray.data.Dataset",
                       id_col: str) -> "ray.data.Dataset":
     """Resolve near-dup pairs to keep/drop decisions via connected components:
-    every doc maps to its component representative (min id); keep = (doc ==
-    representative). Reuses the distributed CC of the canonicalization stage."""
-    from ..stages.canonicalize import connected_components
+    every row of ``all_ids_ds`` gains ``keep_id``, its component's
+    representative (min id; its own id if it is in no pair), so keep =
+    (id == keep_id). Ids go through CC as they are (it labels integer
+    nodes); ``keep_id`` has ``id_col``'s type."""
+    from ..stages.canonicalize import attach_components, connected_components
 
-    def pad(v):  # zero-pad ids so lexicographic min == numeric min
-        return f"{v:020d}"
-
-    def pair_str(t: pa.Table) -> pa.Table:
-        a = [pad(v) for v in t.column("id_a").to_pylist()]
-        b = [pad(v) for v in t.column("id_b").to_pylist()]
-        return pa.table({"a": pa.array(a), "b": pa.array(b)})
-
-    nodes = all_ids_ds.map_batches(
-        lambda t: pa.table({"node": pa.array([pad(v) for v in t.column(id_col).to_pylist()])}),
-        batch_format="pyarrow",
-    )
-    labels = connected_components(pairs_ds.map_batches(pair_str, batch_format="pyarrow"), nodes)
-
-    def finish(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0 or "node" not in t.column_names:
-            return pa.table({id_col: pa.array([], pa.int64()),
-                             "keep_id": pa.array([], pa.int64())})
-        n = [int(v) for v in t.column("node").to_pylist()]
-        c = [int(v) for v in t.column("comp").to_pylist()]
-        return pa.table({id_col: pa.array(n, pa.int64()), "keep_id": pa.array(c, pa.int64())})
-
-    return labels.map_batches(finish, batch_format="pyarrow")
+    labels = connected_components(pairs_ds.map_batches(
+        lambda t: pa.table({"a": pc.cast(t.column("id_a"), pa.int64()),
+                            "b": pc.cast(t.column("id_b"), pa.int64())}),
+        batch_format="pyarrow"))
+    return attach_components(all_ids_ds, labels, id_col).map_batches(
+        lambda t: t.rename_columns(["keep_id" if c == "comp" else c for c in t.column_names]),
+        batch_format="pyarrow")
 
 
 _ALNUM_RE = None  # lazy: shared [a-z0-9]+ tokenization of the curation family
@@ -732,7 +720,10 @@ _FROZEN_RANK = (1 << 31) - 1  # rank of frozen docs: above every token count
 
 def _packed_rank(t: pa.Table, id_col: str, rank: np.ndarray) -> pa.Table:
     """(id_col, key) with ``key = (rank << 32) | (2³²−1 − id)``, so the max
-    key has the max rank, then the min id; raises on ids outside 32 bits."""
+    key has the max rank, then the min id. Raises ``ValueError`` on ids
+    outside 32 bits; it runs in a Ray task, so the driver sees Ray's task
+    error whose message carries ``ValueError: id/ntok exceed the
+    packed-key range``."""
     d = pc.cast(t.column(id_col), pa.int64()).to_numpy(zero_copy_only=False)
     if len(d) and (int(d.min()) < 0 or int(d.max()) > _MAXD):
         raise ValueError("id/ntok exceed the packed-key range")
@@ -751,17 +742,24 @@ def near_dup_keep_best_ids(
     """Near-dup keep decision with a QUALITY-WEIGHTED representative: within
     each pair-graph component the doc with the MOST tokens survives (tie →
     min id) — the CCNet/RefinedWeb keep-the-longest-version convention.
-    Members carry one packed-int64 rank (:func:`_packed_rank`); one
-    sort-shuffle on comp % P co-locates each component, whose argmax is
-    broadcast back to its members in a vectorized pass. Output:
-    (id_col, keep_id) for EVERY doc of ``docs_ds``.
+    Every doc carries one packed-int64 rank (:func:`_packed_rank`) and
+    gets its component label in the one left join of
+    :func:`near_dup_keep_ids`; one sort-shuffle on comp % P co-locates each
+    component, whose argmax is broadcast back to its members in a
+    vectorized pass. Output: (id_col, keep_id) for EVERY doc of
+    ``docs_ds``.
 
     ``frozen`` (id_col) lists the docs of an already-curated corpus that
-    ``pairs_ds`` may reach. Those pair participants join the components at
-    a rank above every doc of ``docs_ds``: a component that touches the
-    frozen corpus keeps a frozen doc and drops all of its new members."""
-    from ..stages.canonicalize import _compact_blocks, pre_aggregated_count
-    from ..stages.joins import hash_join
+    ``pairs_ds`` may reach. They join the components at a rank above every
+    doc of ``docs_ds``: a component that touches the frozen corpus keeps a
+    frozen doc and drops all of its new members. Frozen docs leave no
+    output row.
+
+    Ids must fit 32 bits and token counts 31 (the packed key): a wider one
+    fails the plan when it executes, with Ray's task error carrying
+    ``ValueError: id/ntok exceed the packed-key range``, not a bare
+    ``ValueError``."""
+    from ..stages.canonicalize import _compact_blocks
 
     P = _compact_blocks()
 
@@ -773,25 +771,17 @@ def near_dup_keep_best_ids(
             raise ValueError("id/ntok exceed the packed-key range")
         return _packed_rank(t, id_col, ntok)
 
-    ids = docs_ds.select_columns([id_col])
     ranks = docs_ds.map_batches(tok_rank, batch_format="pyarrow")
     if frozen is not None:
-        ends = pairs_ds.map_batches(
-            lambda t: pa.table({id_col: pa.concat_arrays([
-                pc.cast(t.column(c), pa.int64()).combine_chunks()
-                for c in ("id_a", "id_b")])}),
-            batch_format="pyarrow",
-        )
-        ids = pre_aggregated_count(ids.union(ends), [id_col], "_c").select_columns([id_col])
         ranks = ranks.union(frozen.map_batches(
             lambda t: _packed_rank(t, id_col, np.full(t.num_rows, _FROZEN_RANK, np.int64)),
             batch_format="pyarrow",
         ))
 
     def add_bucket(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0 or "comp" not in t.column_names:
-            t = pa.table({c: pa.array([], pa.int64()) for c in (id_col, "comp", "key")})
-        comp = pc.cast(t.column("comp"), pa.int64())
+        if t.num_rows == 0 or "keep_id" not in t.column_names:
+            t = pa.table({c: pa.array([], pa.int64()) for c in (id_col, "keep_id", "key")})
+        comp = pc.cast(t.column("keep_id"), pa.int64())
         return pa.table({id_col: pc.cast(t.column(id_col), pa.int64()), "comp": comp,
                          "key": pc.cast(t.column("key"), pa.int64()),
                          "__b": pa.array(comp.to_numpy() % P, pa.int64())})
@@ -811,13 +801,7 @@ def near_dup_keep_best_ids(
         return pa.table({id_col: pa.array(d[new], pa.int64()),
                          "keep_id": pa.array(keep[new], pa.int64())})
 
-    labels = near_dup_keep_ids(pairs_ds, ids, id_col)
-    members = hash_join(
-        labels.map_batches(
-            lambda t: pa.table({id_col: t.column(id_col), "comp": t.column("keep_id")}),
-            batch_format="pyarrow"),
-        ranks, on=(id_col,),
-    )
+    members = near_dup_keep_ids(pairs_ds, ranks, id_col)
     return (members.map_batches(add_bucket, batch_format="pyarrow")
             .groupby("__b").map_groups(keep_best, batch_format="pyarrow"))
 

@@ -12,8 +12,10 @@ the beyond-reference operator families (SURVEY.md §2.11) compose into:
 
 Scale discipline: each decision runs in the exchange that already holds
 its rows. Exact dedup keeps each content's min-id row inside its one
-md5-bucketed shuffle; the near-dup decision is an ID-ONLY table (8 B/row)
-attached back by one hash semi-join; the ``bands`` semi-join and the span
+md5-bucketed shuffle; near-dup connected components label only the docs
+that are in a pair (union-found on the driver for a small pair graph) and
+reach every doc's rank through one left join; the near-dup decision is an
+ID-ONLY table (8 B/row) attached back by one hash semi-join; the ``bands`` semi-join and the span
 rewrite run inside the doc-partitioned writes (``write_partitioned(finish=)``).
 Survivor tables and the MinHash band rows are materialized once at their
 stage boundary (each feeds several branches; without the boundary the lazy
@@ -218,7 +220,10 @@ def run_curation(
     ``docs`` must carry ``id_col`` (int64-castable, < 2³², and UNIQUE: each
     stage keeps or drops a doc by its id — exact dedup keeps the min-id row
     of each content, which equals an id semi-join only when no two rows
-    share an id) and ``text_col``.
+    share an id) and ``text_col``. A wider id is rejected inside a Ray
+    task, so the job fails with Ray's task error whose message carries
+    ``ValueError: id/ntok exceed the packed-key range`` (or pack_pairs'
+    ``ValueError: node ids exceed 32 bits``), not a bare ``ValueError``.
     Output rows: (id_col, n_tokens, n_removed, kept_text). With ``out_dir``
     the curated table is written partitioned (``part=crc(id) % n``) with
     per-partition manifests, next to the ``state`` and ``bands`` tables of

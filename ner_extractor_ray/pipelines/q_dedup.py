@@ -419,9 +419,11 @@ def q_dedup_ngram_spans(sf_dir: str):
 def q_neardup_keep(sf_dir: str):
     """End-to-end near-dup DEDUP DECISION — the operator a curation pipeline
     actually ships: MinHash-LSH candidate pairs (same plan/params as
-    ``minhash_neardup``) resolved to per-doc keep/drop via the distributed
-    connected components of the canonicalization stage; every doc maps to its
-    component representative (min doc_id), unpaired docs map to themselves.
+    ``minhash_neardup``) resolved to per-doc keep/drop via the connected
+    components of the canonicalization stage (driver union-find or
+    distributed rounds, by pair count), which label the paired docs only;
+    one left join maps every doc to its component representative (min
+    doc_id), and unpaired docs to themselves.
     Output: (doc_id, keep_id) for EVERY document — keep row ⟺ doc_id ==
     keep_id. The SQL oracle composes the full banded-LSH plan replication
     with a recursive min-label reachability fixpoint (the graph_components
@@ -439,9 +441,10 @@ def q_neardup_keep_best(sf_dir: str):
     production curation actually keeps: within each near-dup component the
     doc with the MOST tokens survives (tie → min doc_id), not the min-id
     doc (CCNet/RefinedWeb keep-the-longest-version convention). Plan in
-    functions/dedup.near_dup_keep_best_ids (packed-int64 argmax per
-    component + hash-join winner back). SQL oracle = the full LSH +
-    recursive-CC replication + a ROW_NUMBER() argmax."""
+    functions/dedup.near_dup_keep_best_ids (CC labels left-joined onto each
+    doc's packed-int64 rank, then one shuffle by component whose argmax is
+    broadcast to its members). SQL oracle = the full LSH + recursive-CC
+    replication + a ROW_NUMBER() argmax."""
     from ..functions.dedup import lsh_near_dup_pairs, near_dup_keep_best_ids
 
     ds = _rp(sf_dir, "documents", ["doc_id", "text"])
@@ -742,7 +745,7 @@ def _snm_sql(w: int = _SNM_WINDOW) -> str:
 def q_neardup_cluster_hist(sf_dir: str):
     """Near-dup CLUSTER SIZE HISTOGRAM — the dedup-audit report (how much
     of the corpus sits in 2-doc pairs vs 50-doc pile-ups decides whether a
-    keep-one policy is safe): LSH pairs → distributed connected components
+    keep-one policy is safe): LSH pairs → connected components
     → per-component doc counts → (cluster_size, n_clusters). Composes the
     SAME verified machinery as q_neardup_keep (so the SQL oracle reuses its
     recursive-CC replication) with two vocabulary-sized count aggregates on

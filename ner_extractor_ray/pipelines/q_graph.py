@@ -167,27 +167,22 @@ def q_graph_triangles(sf_dir: str):
 
 def q_graph_components(sf_dir: str):
     """Connected components of the min_n=3 co-purchase graph → (node, comp)
-    with comp = min node id in the component — the same distributed
-    min-label-propagation/pointer-doubling machinery that canonicalizes
-    entities (stages/canonicalize.py), here against a recursive-CTE SQL
-    oracle. min_n=3 keeps the graph sparse (threshold co-occurrence noise),
-    exactly how a production KG prunes its mention-co-occurrence edges."""
-    from ..functions.graph import degree_table
+    with comp = min node id in the component — the same connected
+    components (driver union-find or distributed min-label propagation by
+    pair count) that canonicalize entities (stages/canonicalize.py), here
+    against a recursive-CTE SQL oracle. Every node of the graph is an edge
+    endpoint, so the pair participants CC labels are all of them. min_n=3
+    keeps the graph sparse (threshold co-occurrence noise), exactly how a
+    production KG prunes its mention-co-occurrence edges."""
     from ..stages.canonicalize import connected_components
 
-    edges = _graph_edges(sf_dir, min_n=3).materialize()
-    pairs = edges.map_batches(
+    return connected_components(_graph_edges(sf_dir, min_n=3).map_batches(
         lambda t: pa.table(
             {"a": pc.cast(t.column("u"), pa.int64()),
              "b": pc.cast(t.column("v"), pa.int64())}
         ),
         batch_format="pyarrow",
-    )
-    nodes = degree_table(edges).map_batches(
-        lambda t: pa.table({"node": pc.cast(t.column("node"), pa.int64())}),
-        batch_format="pyarrow",
-    )
-    return connected_components(pairs, nodes)
+    ))
 
 
 def q_graph_pagerank(sf_dir: str):

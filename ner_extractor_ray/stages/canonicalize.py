@@ -6,7 +6,8 @@ The genuinely wide/iterative stage (SURVEY.md §7.1 S8, §7.3). Pipeline:
   mentions(+node) ──pre-aggregated count──▶ distinct nodes (node, type, norm_key, n_mentions)
       ▶ minhash over char-3-shingles of norm_key → explode (band_id, band_hash, node)
       ▶ groupby(band) buckets → verified candidate pairs (same type, Jaccard ≥ τ)
-      ▶ iterative min-label propagation (groupby-min rounds) → components
+      ▶ components of the pair participants (driver union-find or min-label
+        propagation rounds); a node in no pair is its own component
       ▶ entity_id = blake2(min node of component); canonical_name = min norm_key
 
 Skew handling (explicit, per the north rule):
@@ -121,16 +122,36 @@ def _arrow_specs(keys: list[str], aggs) -> list[tuple] | None:
 def aggregate_table(t: pa.Table, keys: list[str], specs: list[tuple]) -> pa.Table:
     """The one group-by kernel: Arrow ``group_by(keys).aggregate`` over one
     table, with SQL semantics (a null key is a group; a Sum of only nulls is
-    null). Output columns are ``keys`` then each spec's name, picked by name."""
+    null). Output columns are ``keys`` then each spec's name, picked by name.
+
+    Float Min/Max order NaN above every number, as DuckDB does: the Max of
+    a group holding a NaN and the Min of an all-NaN group are NaN (Arrow's
+    kernels skip NaN, giving ``-inf``/``inf`` for an all-NaN group). The
+    rule composes, so per-batch partials keep it."""
     cols = {k: t.column(k) for k in keys}
-    cols.update({f"__a{i}": t.column(col) for i, (_, col, _, _) in enumerate(specs)})
-    g = pa.table(cols).group_by(keys, use_threads=False).aggregate(
-        [(f"__a{i}", fn, pc.CountOptions(opt) if fn == "count"
-          else pc.ScalarAggregateOptions(skip_nulls=opt))
-         for i, (_, _, fn, opt) in enumerate(specs)])
-    return pa.table({**{k: g.column(k) for k in keys},
-                     **{name: g.column(f"__a{i}_{fn}")
-                        for i, (name, _, fn, _) in enumerate(specs)}})
+    aggs = []
+    for i, (_, col, fn, opt) in enumerate(specs):
+        cols[f"__a{i}"] = t.column(col)
+        aggs.append((f"__a{i}", fn, pc.CountOptions(opt) if fn == "count"
+                     else pc.ScalarAggregateOptions(skip_nulls=opt)))
+        if fn in ("min", "max") and pa.types.is_floating(t.column(col).type):
+            cols[f"__n{i}"] = pc.is_nan(t.column(col))
+            aggs.append((f"__n{i}", _NAN_WINS[fn], pc.ScalarAggregateOptions()))
+    g = pa.table(cols).group_by(keys, use_threads=False).aggregate(aggs)
+    out = {k: g.column(k) for k in keys}
+    for i, (name, _, fn, _) in enumerate(specs):
+        r = g.column(f"__a{i}_{fn}")
+        if f"__n{i}" in cols:  # a null result (ignore_nulls=False) stays null
+            nan = pc.and_(pc.fill_null(g.column(f"__n{i}_{_NAN_WINS[fn]}"), False),
+                          pc.is_valid(r))
+            r = pc.if_else(nan, pa.scalar(float("nan"), r.type), r)
+        out[name] = r
+    return pa.table(out)
+
+
+# the NaN flag of a float Min/Max group: Max is NaN if ANY value is, Min
+# only if ALL (non-null) values are
+_NAN_WINS = {"min": "all", "max": "any"}
 
 
 _KEY_MIX = np.uint64(0x9E3779B97F4A7C15)
@@ -290,24 +311,18 @@ def _rename_project(t: pa.Table, cols: list[tuple[str, str]]) -> pa.Table:
     return pa.table({dst: t.column(src) for src, dst in cols})
 
 
-def _driver_union_find(pairs_ds: "ray.data.Dataset", nodes_ds: "ray.data.Dataset") -> "ray.data.Dataset":
-    """Small-graph plan: collect (small) pairs + nodes, union-find on the
-    driver with lexicographic-min representatives — byte-identical labels to
-    the distributed plan at a fraction of the fixed cost."""
-    from .joins import _as_pa_type, _schema_autocache
-
-    nodes_ds, sch = _schema_autocache(nodes_ds)  # probe would run the agg twice
-    ntype = _as_pa_type(sch.types[sch.names.index("node")])
-    # iter_batches + to_pylist, NEVER take_all here: take_all walks pandas-
-    # backed blocks row-by-row at ~230 µs a row — measured 21 s for a
-    # 90k-row participant table vs ~0 s batched
-    nodes = [n for t in nodes_ds.select_columns(["node"]).iter_batches(
-                 batch_size=65536, batch_format="pyarrow")
-             for n in t.column("node").to_pylist()]
+def _driver_union_find(pairs_ds: "ray.data.Dataset") -> "ray.data.Dataset":
+    """Small-graph plan: collect the (materialized) pairs and union-find them
+    on the driver with min representatives — the labels the distributed plan
+    converges to, without its fixed per-round executions."""
     a, b = [], []
+    ntype = pa.int64()  # no pairs: an empty label table
     for t in pairs_ds.iter_batches(batch_size=65536, batch_format="pyarrow"):
-        a.extend(t.column("a").to_pylist())
-        b.extend(t.column("b").to_pylist())
+        if t.num_rows:
+            ntype = t.column("a").type
+            a.extend(t.column("a").to_pylist())
+            b.extend(t.column("b").to_pylist())
+    nodes = list(dict.fromkeys(a + b))
     return ray.data.from_arrow(pa.table({
         "node": pa.array(nodes, ntype),
         "comp": pa.array(union_find_min(nodes, a, b), ntype),
@@ -316,55 +331,23 @@ def _driver_union_find(pairs_ds: "ray.data.Dataset", nodes_ds: "ray.data.Dataset
 
 def connected_components(
     pairs_ds: "ray.data.Dataset",
-    nodes_ds: "ray.data.Dataset",
     *,
     max_rounds: int = 64,
     num_partitions: int | None = None,
     driver_threshold: int = 200_000,
 ) -> "ray.data.Dataset":
-    """Distributed min-label propagation with pointer doubling → (node, comp).
+    """(a, b) pairs → (node, comp) for every node that appears in a pair,
+    with comp the min node of its component. A node in no pair is its own
+    component and gets no row: :func:`attach_components` gives it its own
+    id in the join its caller runs anyway.
 
-    Each round: (1) edge relax — comp(dst) = min over {comp(src) | (src,dst) ∈
-    E ∪ self-loops}; (2) pointer jump — comp(x) = comp(comp(x)) (every label is
-    itself a node, so the lookup is total). The jump doubles the effective
-    propagation distance per round, so convergence is O(log diameter) — the
-    bucket-cap fallback deliberately emits sorted CHAINS for hot LSH buckets
-    (paths 64+ hops long), which plain relaxation would need O(diameter)
-    rounds to collapse. Labels decrease monotonically, so the checksum-based
-    fixpoint test terminates; ``max_rounds`` (default 64 ≈ components of
-    diameter 2**64) is a safety valve that RAISES rather than silently
-    returning non-converged labels. Labels are materialized per round (they
-    are the small distinct-surface table, not the corpus) so the lazy lineage
-    doesn't re-execute (SURVEY.md §7.3 "connected components on Ray Data").
-    """
-    nodes_only = nodes_ds.select_columns(["node"])
-    identity = nodes_only.map_batches(
-        lambda t: _rename_project(t, [("node", "node"), ("node", "comp")]),
-        batch_format="pyarrow",
-    )
-    # No candidate pairs (all surfaces already distinct after alias resolution):
-    # every node is its own component — skip the iterative joins entirely. Also
-    # avoids schema-less empty blocks poisoning the union/join below.
-    if pairs_ds.count() == 0:
-        return identity.materialize()
-    # Small graphs: every distributed round costs several fixed Dataset
-    # executions (joins, shuffles, checksum passes) regardless of data size —
-    # below the threshold the driver union-find is strictly faster and
-    # produces identical labels (same min-representative rule).
-    if driver_threshold and nodes_only.count() <= driver_threshold:
-        return _driver_union_find(pairs_ds, nodes_ds)
-
-    # ---- participants-only iteration (round-5) ---------------------------
-    # Labels move only along PAIR edges: a node in no pair has just its
-    # self-loop, keeps its own label at the fixpoint, and never influences a
-    # participant — so the iterative rounds need only the pair-PARTICIPANT
-    # vocabulary (usually a small fraction of the node table; 400k-doc
-    # near-dup keep: 23s flat → ~3s, because 368k singleton docs stopped
-    # riding every round's join). Everyone else attaches back as identity
-    # through ONE left join. The driver gate re-checks against the
-    # PARTICIPANT count: a corpus-sized node table with a vocabulary-sized
-    # pair graph union-finds on the driver instead of paying log-diameter
-    # distributed rounds over the full corpus.
+    The pair lineage runs once (materialized) and its row count — the rows
+    the driver would collect — picks the plan: at most ``driver_threshold``
+    pairs union-find on the driver, more run :func:`_distributed_cc` over
+    the pair participants. Both plans give identical labels."""
+    pairs_ds = pairs_ds.materialize()
+    if pairs_ds.count() <= driver_threshold:
+        return _driver_union_find(pairs_ds)
     ends = pairs_ds.map_batches(
         lambda t: pa.table({"node": pa.concat_arrays([
             t.column("a").combine_chunks(),
@@ -373,33 +356,35 @@ def connected_components(
     )
     participants = pre_aggregated_count(
         ends, ["node"], "_c").select_columns(["node"]).materialize()
-    if driver_threshold and participants.count() <= driver_threshold:
-        part_labels = _driver_union_find(pairs_ds, participants)
-    else:
-        part_labels = _distributed_cc(
-            pairs_ds, participants, max_rounds=max_rounds,
-            num_partitions=num_partitions)
-    plab = part_labels.map_batches(
-        lambda t: _rename_project(t, [("node", "node"), ("comp", "pcomp_")]),
-        batch_format="pyarrow",
-    )
-    joined = hash_join(identity, plab, on=("node",), how="left")
+    return _distributed_cc(pairs_ds, participants, max_rounds=max_rounds,
+                           num_partitions=num_partitions)
+
+
+def attach_components(
+    ds: "ray.data.Dataset", labels: "ray.data.Dataset", on: str
+) -> "ray.data.Dataset":
+    """``ds`` plus a ``comp`` column: the :func:`connected_components` label
+    of its ``on`` value by one left join, or the value itself where it is in
+    no pair (a singleton is its own component)."""
+    if on != "node":
+        # rename ds, not the labels: the labels' schema stays static, so the
+        # join reads it without an execution
+        ds = ds.map_batches(
+            lambda t: t.rename_columns(["node" if c == on else c for c in t.column_names]),
+            batch_format="pyarrow")
 
     def attach(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0 and "node" not in t.column_names:
-            return pa.table({})  # schema-less empty block: pass through
-        if "pcomp_" not in t.column_names:
-            # left-join block with no participant match: pure identity slice
-            return pa.table({"node": t.column("node"),
-                             "comp": t.column("comp")})
-        ntype = t.column("comp").type  # node type is caller-defined
-        return pa.table({
-            "node": t.column("node"),
-            "comp": pc.coalesce(pc.cast(t.column("pcomp_"), ntype),
-                                t.column("comp")),
-        })
+        if "node" not in t.column_names:
+            return t  # schema-less empty block
+        node = t.column("node")
+        comp = (pc.cast(t.column("comp"), node.type) if "comp" in t.column_names
+                else pa.nulls(t.num_rows, node.type))  # no labels: the join returned ds
+        t = t.select([c for c in t.column_names if c != "comp"])
+        return t.rename_columns([on if c == "node" else c for c in t.column_names]
+                                ).append_column("comp", pc.coalesce(comp, node))
 
-    return joined.map_batches(attach, batch_format="pyarrow").materialize()
+    return hash_join(ds, labels, on=("node",), how="left").map_batches(
+        attach, batch_format="pyarrow")
 
 
 def _distributed_cc(
@@ -409,8 +394,24 @@ def _distributed_cc(
     max_rounds: int,
     num_partitions: int | None,
 ) -> "ray.data.Dataset":
-    """The min-label-propagation + pointer-jump rounds of
-    :func:`connected_components`, over an already-projected (node) table."""
+    """Distributed plan of :func:`connected_components`: min-label
+    propagation with pointer doubling over the pair participants
+    ``nodes_only`` (node) → (node, comp).
+
+    Labels move only along pair edges, so nodes in no pair never ride a
+    round (400k-doc near-dup keep: 23 s → ~3 s once 368k singleton docs
+    left the rounds). Each round: (1) edge relax — comp(dst) = min over
+    {comp(src) | (src,dst) ∈ E ∪ self-loops}; (2) pointer jump — comp(x) =
+    comp(comp(x)) (every label is itself a node, so the lookup is total).
+    The jump doubles the effective propagation distance per round, so
+    convergence is O(log diameter) — the bucket-cap fallback deliberately
+    emits sorted CHAINS for hot LSH buckets (paths 64+ hops long), which
+    plain relaxation would need O(diameter) rounds to collapse. Labels
+    decrease monotonically, so the checksum-based fixpoint test terminates;
+    ``max_rounds`` (default 64 ≈ components of diameter 2**64) is a safety
+    valve that RAISES rather than silently returning non-converged labels.
+    Labels are materialized per round so the lazy lineage doesn't
+    re-execute (SURVEY.md §7.3 "connected components on Ray Data")."""
     identity = nodes_only.map_batches(
         lambda t: _rename_project(t, [("node", "node"), ("node", "comp")]),
         batch_format="pyarrow",
@@ -492,7 +493,11 @@ def _distributed_cc(
             lambda t: _rename_project(t, [("node", "jk"), ("comp", "comp")]),
             batch_format="pyarrow",
         )
-        labels = (
+        # the jump reads ``relaxed`` twice, so Ray Data's stats tree of the
+        # round-carried labels would double per round and every execution
+        # summarizes it on the driver (a 128-pair chain: 110 s under cProfile,
+        # nearly all in DatasetStats.to_summary); re-rooting the blocks drops it
+        labels = ray.data.from_arrow_refs(
             hash_join(jump_left, jump_right, on=("jk",), num_partitions=num_partitions)
             .map_batches(
                 lambda t: _rename_project(t, [("node", "node"), ("comp", "comp")]),
@@ -500,6 +505,7 @@ def _distributed_cc(
             )
             .repartition(num_partitions)
             .materialize()
+            .to_arrow_refs()
         )
     raise RuntimeError(
         f"connected_components did not converge in {max_rounds} rounds — "
@@ -528,9 +534,7 @@ def canonicalize_nodes(
     if n > driver_threshold:
         pairs = candidate_pairs(nodes_distinct, threshold=threshold, bucket_cap=bucket_cap)
         labels = connected_components(
-            pairs, nodes_distinct, num_partitions=num_partitions,
-            driver_threshold=driver_threshold,
-        )
+            pairs, num_partitions=num_partitions, driver_threshold=driver_threshold)
         return entity_assignments(labels, nodes_distinct, num_partitions=num_partitions)
 
     nodes = pa.Table.from_pylist(rows_batched(nodes_distinct), schema=_NODES)
@@ -553,12 +557,13 @@ def canonicalize_nodes(
 def entity_assignments(
     labels_ds: "ray.data.Dataset", nodes_ds: "ray.data.Dataset", num_partitions: int | None = None
 ) -> "ray.data.Dataset":
-    """(node, comp) × node metadata → (node, entity_id, canonical_name, type).
+    """(node, comp) labels × node metadata → (node, entity_id,
+    canonical_name, type, n_mentions) for every node of ``nodes_ds``.
 
     entity_id is a stable hash of the component representative (min node id),
     canonical_name the lexicographically-min norm_key in the component.
     """
-    lab_nodes = hash_join(labels_ds, nodes_ds, on=("node",), num_partitions=num_partitions)
+    lab_nodes = attach_components(nodes_ds, labels_ds, "node")
     canon = (
         grouped_aggregate(lab_nodes, ["comp"],
                           Min("norm_key", alias_name="canonical_name"),

@@ -1,10 +1,13 @@
 """Canonicalization stage tests: LSH pairing, CC merging, salting, skew."""
 
+import math
+
 import pandas as pd
 import pyarrow as pa
 import ray.data
 
 from ner_extractor_ray.stages.canonicalize import (
+    attach_components,
     candidate_pairs,
     connected_components,
     entity_assignments,
@@ -42,27 +45,37 @@ def test_candidate_pairs_find_near_duplicates():
 
 def test_connected_components_transitive_merge():
     # a~b and b~c but a,c never directly paired → one component via propagation
-    nd = _nodes_ds([("ORG", k) for k in ["aaaa bbbb cccc", "dddd eeee", "ffff gggg"]])
+    nd = _nodes_ds([("ORG", k) for k in
+                    ["aaaa bbbb cccc", "dddd eeee", "ffff gggg", "hhhh alone"]])
     pairs = ray.data.from_items(
         [
             {"a": "ORG:aaaa bbbb cccc", "b": "ORG:dddd eeee"},
             {"a": "ORG:dddd eeee", "b": "ORG:ffff gggg"},
         ]
     )
-    labels = {r["node"]: r["comp"] for r in connected_components(pairs, nd).take_all()}
-    assert len(set(labels.values())) == 1
-    assert set(labels.values()) == {"ORG:aaaa bbbb cccc"}  # lexicographic min rep
+    for driver_threshold in (200_000, 0):  # driver and distributed plans
+        cc = connected_components(pairs, driver_threshold=driver_threshold)
+        labels = {r["node"]: r["comp"] for r in cc.take_all()}
+        # only the pair participants get a row, all with the lexicographic min
+        assert labels == {n: "ORG:aaaa bbbb cccc" for n in
+                          ("ORG:aaaa bbbb cccc", "ORG:dddd eeee", "ORG:ffff gggg")}
+        # the node in no pair is its own component
+        attached = {r["node"]: r["comp"]
+                    for r in attach_components(nd, cc, "node").take_all()}
+        assert attached == {**labels, "ORG:hhhh alone": "ORG:hhhh alone"}
 
 
 def test_entity_assignments_shape():
-    nd = _nodes_ds([("ORG", "alpha"), ("ORG", "beta")], n=3)
+    nd = _nodes_ds([("ORG", "alpha"), ("ORG", "beta"), ("ORG", "gamma")], n=3)
     pairs = ray.data.from_items([{"a": "ORG:alpha", "b": "ORG:beta"}])
-    labels = connected_components(pairs, nd)
-    asg = entity_assignments(labels, nd).take_all()
-    assert len(asg) == 2
-    eids = {a["entity_id"] for a in asg}
-    assert len(eids) == 1  # merged into one entity
-    assert all(a["canonical_name"] == "alpha" for a in asg)
+    labels = connected_components(pairs)
+    assert labels.count() == 2  # participants only
+    asg = {a["node"]: a for a in entity_assignments(labels, nd).take_all()}
+    assert len(asg) == 3  # every node, the singleton too
+    assert asg["ORG:alpha"]["entity_id"] == asg["ORG:beta"]["entity_id"]  # merged
+    assert asg["ORG:alpha"]["canonical_name"] == asg["ORG:beta"]["canonical_name"] == "alpha"
+    assert asg["ORG:gamma"]["canonical_name"] == "gamma"
+    assert asg["ORG:gamma"]["entity_id"] != asg["ORG:alpha"]["entity_id"]
 
 
 def test_connected_components_long_chain_converges():
@@ -72,16 +85,13 @@ def test_connected_components_long_chain_converges():
     # pointer doubling must converge in O(log d) rounds to the global min.
     n = 12
     names = [f"node{i:04d}" for i in range(n)]
-    nd = ray.data.from_items(
-        [{"node": m, "type": "ORG", "norm_key": m, "n_mentions": 1} for m in names]
-    )
     pairs = ray.data.from_items(
         [{"a": names[i], "b": names[i + 1]} for i in range(n - 1)]
     )
     # driver_threshold=0 forces the distributed pointer-doubling plan
     labels = {
         r["node"]: r["comp"]
-        for r in connected_components(pairs, nd, driver_threshold=0).take_all()
+        for r in connected_components(pairs, driver_threshold=0).take_all()
     }
     assert len(labels) == n
     assert set(labels.values()) == {"node0000"}
@@ -122,6 +132,25 @@ def test_grouped_aggregate_null_and_separator_keys():
         assert len(rows) == len(want)
         assert {r["k"]: r["n"] for r in rows} == want
 
+    # float Min/Max order NaN above every number, as DuckDB does: an
+    # all-NaN group is NaN both ways (Arrow alone gives inf/-inf), a NaN
+    # next to numbers is the Max (Arrow alone skips it); NaN and numbers
+    # of one group sit in different blocks, so the per-bucket combine of
+    # block rows must keep the rule too
+    from ray.data.aggregate import Max, Min
+
+    nan = float("nan")
+    floats = ray.data.from_arrow([
+        pa.table({"k": ["all_nan", "mixed", "num"], "f": [nan, nan, 2.0]}),
+        pa.table({"k": ["all_nan", "mixed", "mixed", "num"], "f": [nan, 1.0, 3.0, 5.0]}),
+    ])
+    got = {r["k"]: (r["lo"], r["hi"]) for r in grouped_aggregate(
+        floats, ["k"], Min("f", alias_name="lo"), Max("f", alias_name="hi")).take_all()}
+    assert set(got) == {"all_nan", "mixed", "num"}
+    assert all(math.isnan(v) for v in got["all_nan"])
+    assert got["mixed"][0] == 1.0 and math.isnan(got["mixed"][1])
+    assert got["num"] == (2.0, 5.0)
+
 
 def test_pre_aggregated_count_skew():
     # one hot key = 50% of rows (FIXTURES.md §4 skew fixture): result exact
@@ -139,7 +168,7 @@ def test_oversized_bucket_chain_preserves_connectivity():
     # identical shingle-heavy prefix ⇒ same buckets, high jaccard
     nd = _nodes_ds(keys)
     pairs = candidate_pairs(nd, threshold=0.5, bucket_cap=4)
-    labels = connected_components(pairs, nd)
+    labels = connected_components(pairs)
     comps = {r["comp"] for r in labels.take_all()}
     assert len(comps) == 1
 

@@ -138,7 +138,7 @@ def test_curated_files_carry_no_pandas_metadata(tmp_path):
 # s1, s2, the band rows, LSH candidates and their texts, 5 in connected
 # components, 2 keep-best join sides, the survivor ids and rows, and the
 # three concurrent table writes.
-CURATION_EXECUTIONS = 17
+CURATION_EXECUTIONS = 12
 
 
 def test_run_curation_execution_count(tmp_path, monkeypatch):

@@ -94,22 +94,58 @@ def test_pagerank_matches_integer_reference():
     assert abs(sum(got.values()) - PR_SCALE) < 10 * len(got) * 3
 
 
-def test_connected_components_integer_nodes_both_plans():
-    pairs = _edges([(1, 2), (2, 3), (10, 11)])
-    nodes = ray.data.from_arrow(
-        pa.table({"node": pa.array([1, 2, 3, 10, 11, 99], pa.int64())})
-    )
-    expected = {1: 1, 2: 1, 3: 1, 10: 10, 11: 10, 99: 99}
-    ab = pairs.map_batches(
-        lambda t: pa.table({"a": t.column("u"), "b": t.column("v")}),
-        batch_format="pyarrow",
-    )
-    driver = {r["node"]: r["comp"]
-              for r in connected_components(ab, nodes).take_all()}
-    assert driver == expected
+def _reference_components(pairs):
+    """node → min node of its component, by a plain Python flood fill."""
+    adj = {}
+    for a, b in pairs:
+        adj.setdefault(a, set()).add(b)
+        adj.setdefault(b, set()).add(a)
+    comp = {}
+    for start in sorted(adj):
+        if start in comp:
+            continue
+        stack = [start]
+        while stack:
+            x = stack.pop()
+            if x not in comp:
+                comp[x] = start
+                stack.extend(adj[x])
+    return comp
+
+
+def _random_and_chain_pairs():
+    """3,000 random pairs over 2,000 ids plus a 64-node chain (the shape the
+    LSH bucket cap emits): both sides of the pair-count gate at real size."""
+    rng = np.random.default_rng(7)
+    ab = rng.integers(0, 2000, size=(3000, 2))
+    return ([(int(a), int(b)) for a, b in ab if a != b]
+            + [(10_000 + i, 10_001 + i) for i in range(63)])
+
+
+@pytest.mark.parametrize("graph", ["small", "random_chain"])
+def test_connected_components_integer_nodes_both_plans(graph):
+    """Both plans label exactly the pair participants, identically; a node
+    in no pair gets its own id from attach_components."""
+    from ner_extractor_ray.stages.canonicalize import attach_components
+
+    pairs = [(1, 2), (2, 3), (10, 11)] if graph == "small" else _random_and_chain_pairs()
+    expected = _reference_components(pairs)
+    if graph == "small":
+        assert expected == {1: 1, 2: 1, 3: 1, 10: 10, 11: 10}
+    a, b = zip(*pairs)
+    ab = ray.data.from_arrow(pa.table({"a": pa.array(a, pa.int64()),
+                                       "b": pa.array(b, pa.int64())}))
+    driver = connected_components(ab)
+    assert {r["node"]: r["comp"] for r in driver.take_all()} == expected
     dist = {r["node"]: r["comp"]
-            for r in connected_components(ab, nodes, driver_threshold=0).take_all()}
+            for r in connected_components(ab, driver_threshold=0).take_all()}
     assert dist == expected
+    lone = 99_999  # in no pair
+    nodes = ray.data.from_arrow(pa.table(
+        {"node": pa.array(sorted(expected) + [lone], pa.int64())}))
+    attached = {r["node"]: r["comp"]
+                for r in attach_components(nodes, driver, "node").take_all()}
+    assert attached == {**expected, lone: lone}
 
 
 @pytest.mark.parametrize("edge_thr", [2_000_000, 0])

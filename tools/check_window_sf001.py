@@ -1,7 +1,10 @@
-"""Driver-mimic: run the FIRST 50 queries() entries at a given sf dir via Ray
-AND DuckDB, compare rows / sorted-column schema / order-insensitive values.
+"""Driver-mimic: run the queries() entries with catalogue index in
+[start, end) at a given sf dir via Ray AND DuckDB, compare rows /
+sorted-column schema / order-insensitive values. Exits 1 if any entry fails.
 
 Usage: python tools/check_window_sf001.py [sf_dir] [start] [end]
+(defaults: ``SF_DIR`` below, 0, 50). One entry: start=i, end=i+1, e.g.
+``python tools/check_window_sf001.py <sf0.01 dir> 45 46`` (graph_components).
 """
 import math
 import os
