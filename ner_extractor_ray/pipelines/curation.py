@@ -47,7 +47,7 @@ from ..functions.dedup import (
     span_tagged_rows,
 )
 from ..stages.joins import hash_join
-from ..stages.materialize import write_tables
+from ..stages.materialize import read_table, write_tables
 from ..state.manifest import table_complete
 
 
@@ -242,7 +242,7 @@ def run_curation(
     if curated_dir and resume and all(
             table_complete(os.path.join(out_dir, sub))
             for sub in ("state", "bands", "curated")):
-        curated = ray.data.read_parquet(curated_dir)
+        curated = read_table(curated_dir)
         return {"curated": curated, "stats": {"resumed": True}}
 
     stats: dict[str, int] = {"n_input": docs.count()}

@@ -45,6 +45,7 @@ import ray.data
 
 from ..functions.dedup import content_hash63
 from ..stages.joins import hash_join
+from ..stages.materialize import read_table
 from ..state.manifest import table_complete
 from .curation import near_dup_survivors, quality_exact_dedup, write_curation
 
@@ -62,9 +63,9 @@ def read_curated_chain(snapshot_dir: str) -> "ray.data.Dataset":
             with open(manifest) as f:
                 prev = (json.load(f).get("lineage") or {}).get("prev_dir")
         d = prev
-    ds = ray.data.read_parquet(dirs[0])
+    ds = read_table(dirs[0])
     for extra in dirs[1:]:
-        ds = ds.union(ray.data.read_parquet(extra))
+        ds = ds.union(read_table(extra))
     return ds
 
 
@@ -94,8 +95,8 @@ def update_curation(
             raise ValueError(f"prev snapshot lacks a complete {sub}/ table — "
                              "was it written by run_curation(out_dir=...)?")
 
-    prior_state = ray.data.read_parquet(os.path.join(prev_dir, "state"))
-    prior_bands = ray.data.read_parquet(os.path.join(prev_dir, "bands"))
+    prior_state = read_table(os.path.join(prev_dir, "state"))
+    prior_bands = read_table(os.path.join(prev_dir, "bands"))
     stats: dict[str, int] = {"n_new_input": new_docs.count()}
 
     # ---- S1 quality gate + exact dedup among the NEW batch ---------------

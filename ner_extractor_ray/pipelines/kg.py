@@ -3,8 +3,10 @@
 Composition of SURVEY.md §7.1's stage DAG, Ray-Data-first: every stage is a
 ``map_batches`` transform over Arrow batches (tasks by default, actor pools
 for heavy-state scorers); the only wide operations are the canonicalization
-groupbys and the final dedup/sort — all partial-aggregated and
-hash-partitioned.
+groupbys and the partition-aligned writes. Nodes and edges are
+partial-aggregated per batch and take ONE exchange each: the write's
+shuffle to their hash partition, whose task runs the final aggregate
+(stages/materialize.py).
 
 Scale notes (100 TB design, tested single-node):
   * ``html`` is dropped at S1; nothing downstream ever shuffles it.
@@ -35,8 +37,12 @@ from ..stages.canonicalize import canonicalize_nodes, distinct_nodes
 from ..stages.extract import extract_batch
 from ..stages.joins import hash_join
 from ..stages.materialize import (
+    EDGE_KEYS,
+    EDGES,
+    NODES,
     build_nodes,
     dedup_edges,
+    read_table,
     write_partitioned,
     write_tables,
 )
@@ -199,24 +205,34 @@ def link_ids(
 
 
 def write_graph(
-    nodes: "ray.data.Dataset",
-    edges: "ray.data.Dataset",
+    assignments: "ray.data.Dataset",
+    triples_ids: "ray.data.Dataset",
     out_dir: str,
     *,
     n_partitions: int,
     resume: bool,
     lineage: dict,
+    prior_edges: "ray.data.Dataset | None" = None,
 ) -> tuple["ray.data.Dataset", "ray.data.Dataset"]:
-    """S9 writes: ``out_dir``/nodes by entity_id and ``out_dir``/edges by
-    subj_id, concurrently through :func:`write_tables` (a complete table is
-    skipped under ``resume``). Returns the two written tables, read back."""
+    """S9 writes: ``out_dir``/nodes (:data:`NODES` of ``assignments``) by
+    entity_id and ``out_dir``/edges (:data:`EDGES` of ``triples_ids``,
+    with ``prior_edges`` folded in) by subj_id, concurrently through
+    :func:`write_tables` (a complete table is skipped under ``resume``).
+
+    Each group key contains its table's partition key, so the per-batch
+    partials go straight into the write's one exchange and each write task
+    runs the final aggregate on its partition (``finish=``): one exchange
+    per table. Returns the two written tables, read back."""
     nodes_out, edges_out = write_tables([
-        dict(ds=nodes, table_dir=os.path.join(out_dir, "nodes"),
+        dict(ds=NODES.partials(assignments),
+             table_dir=os.path.join(out_dir, "nodes"),
              part_key="entity_id", n_partitions=n_partitions,
-             sort_key="entity_id", lineage={**lineage, "stage": "nodes"}),
-        dict(ds=edges, table_dir=os.path.join(out_dir, "edges"),
+             sort_key="entity_id", finish=NODES.finish,
+             lineage={**lineage, "stage": "nodes"}),
+        dict(ds=EDGES.partials(triples_ids, prior=prior_edges),
+             table_dir=os.path.join(out_dir, "edges"),
              part_key="subj_id", n_partitions=n_partitions,
-             sort_key=["subj_id", "pred", "obj_id"],
+             sort_key=EDGE_KEYS, finish=EDGES.finish,
              lineage={**lineage, "stage": "edges"}),
     ], resume=resume)
     return nodes_out, edges_out
@@ -307,7 +323,7 @@ def run_kg(
     tagged = None
 
     if ann_dir and table_complete(ann_dir) and resume:
-        ann = ray.data.read_parquet(ann_dir)
+        ann = read_table(ann_dir)
     else:
         # partition-aware resume: the annotations partition key is crc(url),
         # computable at the PAGE level — prune pages of already-completed
@@ -340,7 +356,7 @@ def run_kg(
             if not (table_complete(tagged_dir) and resume):
                 write_partitioned(tagged, tagged_dir, "url",
                                   n_partitions=n_partitions, resume=resume)
-            tagged = ray.data.read_parquet(tagged_dir)
+            tagged = read_table(tagged_dir)
 
         # ---- S5+S6+S7a fused into the same pass
         if use_actors:
@@ -383,13 +399,13 @@ def run_kg(
 
             return fn
 
-        mentions = ray.data.read_parquet(
+        mentions = read_table(
             ann_dir, columns=["kind"] + MENTION_COLS
         ).map_batches(_kind_filter("m", MENTION_COLS), batch_format="pyarrow")
-        triples = ray.data.read_parquet(
+        triples = read_table(
             ann_dir, columns=["kind"] + TRIPLE_COLS
         ).map_batches(_kind_filter("t", TRIPLE_COLS), batch_format="pyarrow")
-        ann = ray.data.read_parquet(ann_dir)
+        ann = read_table(ann_dir)
     else:
         mentions, triples = split_annotations(ann)
 
@@ -400,7 +416,7 @@ def run_kg(
     # the FROZEN id state when merging newly crawled pages.
     assign_dir = os.path.join(out_dir, "assignments") if out_dir else None
     if assign_dir and table_complete(assign_dir) and resume:
-        assignments = ray.data.read_parquet(assign_dir)
+        assignments = read_table(assign_dir)
     else:
         nodes_distinct = distinct_nodes(mentions).materialize()
         assignments = canonicalize_nodes(
@@ -413,18 +429,20 @@ def run_kg(
                               n_partitions=n_partitions, sort_key="node",
                               resume=resume,
                               lineage={**lineage, "stage": "assignments"})
-            assignments = ray.data.read_parquet(assign_dir)
+            assignments = read_table(assign_dir)
 
     # ---- S7b: resolve mentions/triples to entity ids (broadcast or hash join)
     mentions_linked, triples_ids = link_ids(mentions, triples, assignments,
                                             broadcast_limit)
 
-    # ---- S9: materialize graph
-    nodes = build_nodes(assignments)
-    edges = dedup_edges(
-        triples_ids.select_columns(["subj_id", "pred", "obj_id", "prov"])
-    )
-    result = {
+    # ---- S9: materialize graph (written: aggregated inside the writes)
+    if out_dir:
+        nodes, edges = write_graph(
+            assignments, triples_ids, out_dir, n_partitions=n_partitions,
+            resume=resume, lineage=lineage)
+    else:
+        nodes, edges = build_nodes(assignments), dedup_edges(triples_ids)
+    return {
         "annotations": ann,
         "tagged": tagged,
         "mentions": mentions_linked,
@@ -433,8 +451,3 @@ def run_kg(
         "nodes": nodes,
         "edges": edges,
     }
-    if out_dir:
-        result["nodes"], result["edges"] = write_graph(
-            nodes, edges, out_dir, n_partitions=n_partitions, resume=resume,
-            lineage=lineage)
-    return result

@@ -23,8 +23,9 @@ This module implements the production id-stability contract instead:
 Scale shape: the only corpus-sized pass is the fused annotate chain over
 the NEW pages (the previous corpus is never re-read — its distilled state
 is the node-vocabulary-sized assignments table and the edge table). Each
-merged table takes ONE exchange: the frozen vocabulary and the frozen edges
-fold into the new batch's own count/dedup aggregates (``prior=``), and the
+merged table takes ONE exchange: the frozen vocabulary folds into the new
+batch's own count aggregate (``prior=``), the frozen edges into the edge
+partials that the edges write aggregates in its write tasks, and the
 frozen-id remap is one Arrow kernel (:func:`adopt_frozen_ids`) run on the
 driver after a pyarrow join when the joint vocabulary fits
 ``broadcast_limit``, else per hash(cid) bucket after one hash join.
@@ -54,7 +55,7 @@ from ..stages.canonicalize import (
     distinct_nodes,
 )
 from ..stages.joins import _bucket_hash, hash_join
-from ..stages.materialize import build_nodes, dedup_edges, write_partitioned
+from ..stages.materialize import read_table, write_partitioned
 from ..state.manifest import table_complete
 from .kg import default_tagger_concurrency, link_ids, tag_sentences, write_graph
 
@@ -196,9 +197,9 @@ def update_kg(
     # no-op) — same coverage as run_kg's corpus pass, on the NEW pages only
     new_pages = fault_stage(new_pages, "kg_update_pages")
 
-    prev_assign = ray.data.read_parquet(
-        os.path.join(prev_dir, "assignments"), columns=ASSIGN_COLS)
-    prev_edges = ray.data.read_parquet(os.path.join(prev_dir, "edges"))
+    prev_assign = read_table(os.path.join(prev_dir, "assignments"),
+                             columns=ASSIGN_COLS)
+    prev_edges = read_table(os.path.join(prev_dir, "edges"))
 
     lineage = {
         "engine_version": __version__,
@@ -213,7 +214,7 @@ def update_kg(
     alias = alias_canonical_map()
     ann_dir = os.path.join(out_dir, "annotations")
     if table_complete(ann_dir) and resume:
-        ann = ray.data.read_parquet(ann_dir)
+        ann = read_table(ann_dir)
     else:
         tagged = tag_sentences(
             new_pages, tagger_concurrency=tagger_concurrency,
@@ -232,7 +233,7 @@ def update_kg(
         write_partitioned(ann, ann_dir, "url", n_partitions=n_partitions,
                           resume=resume,
                           lineage={**lineage, "stage": "annotations"})
-        ann = ray.data.read_parquet(ann_dir)
+        ann = read_table(ann_dir)
     mentions, triples = split_annotations(ann)
 
     # ---- joint re-clustering of old+new DISTINCT surfaces (vocab-sized):
@@ -252,20 +253,18 @@ def update_kg(
                           n_partitions=n_partitions, sort_key="node",
                           resume=resume,
                           lineage={**lineage, "stage": "assignments"})
-    assignments = ray.data.read_parquet(assign_dir)
+    assignments = read_table(assign_dir)
 
     # ---- resolve NEW mentions/triples to ids (same size switch as run_kg)
     mentions_linked, triples_ids = link_ids(mentions, triples, assignments,
                                             broadcast_limit)
 
-    # ---- exact merge: the frozen edges fold into the new batch's one dedup
-    # aggregate (counts Sum, provenance Min — mergeable across batches)
-    edges = dedup_edges(
-        triples_ids.select_columns(["subj_id", "pred", "obj_id", "prov"]),
-        prior=prev_edges)
-    nodes, edges = write_graph(build_nodes(assignments), edges, out_dir,
+    # ---- exact merge: the frozen edges fold into the new batch's edge
+    # partials, aggregated inside the edges write (counts Sum, provenance
+    # Min — mergeable across batches)
+    nodes, edges = write_graph(assignments, triples_ids, out_dir,
                                n_partitions=n_partitions, resume=resume,
-                               lineage=lineage)
+                               lineage=lineage, prior_edges=prev_edges)
     return {"annotations": ann, "mentions": mentions_linked,
             "triples": triples_ids, "assignments": assignments,
             "nodes": nodes, "edges": edges}

@@ -53,18 +53,8 @@ def pre_aggregated_count(
     ``prior`` (columns ``keys + [count_col]``, already counted) joins the
     partials before the one aggregate: Sum is associative, so the result
     equals counting ``ds`` and then summing with ``prior`` in a second pass."""
-    specs = _arrow_specs(keys, [Count(alias_name=count_col)])
-    partials = ds.map_batches(lambda t: aggregate_table(t, keys, specs),
-                              batch_format="pyarrow")
-    if prior is not None:
-        partials = partials.union(prior.select_columns(keys + [count_col]))
-    # compact the (small) partials: shuffle/aggregate cost scales with block
-    # COUNT, and per-batch partials are many tiny blocks (13s → 1s observed)
-    return grouped_aggregate(
-        partials.repartition(_compact_blocks()),
-        keys,
-        Sum(count_col, alias_name=count_col),
-    )
+    return TwoPhaseAggregate(keys, [Count(alias_name=count_col)],
+                             [Sum(count_col, alias_name=count_col)]).aggregate(ds, prior)
 
 
 def rows_batched(ds: "ray.data.Dataset", columns: list[str] | None = None) -> list:
@@ -209,6 +199,56 @@ def grouped_aggregate(
         .groupby("__b")
         .map_groups(lambda t: aggregate_table(t, keys, specs), batch_format="pyarrow")
     )
+
+
+class TwoPhaseAggregate:
+    """A grouped aggregate declared once: its ``keys``, the Ray aggregates
+    of its per-batch ``partial`` and those of its ``final`` step, which
+    merges partial rows associatively (a Count's partial is Sum-med, a Min
+    stays a Min). Only Count/Sum/Min/Max; both steps are
+    :func:`aggregate_table`. Every plan of the aggregate is built from:
+
+    * :meth:`partials` -- the partial of each input batch, its columns
+      picked by name (extra input columns are ignored), with an
+      already-aggregated ``prior`` table (``columns``) unioned after it;
+    * :meth:`finish` -- the final step over ONE table that holds every
+      partial row of its groups, e.g. a write task whose partition key is
+      part of ``keys`` (``write_partitioned(finish=)``);
+    * :meth:`aggregate` -- the lazy plan: :func:`grouped_aggregate` of the
+      final step over the compacted partials.
+
+    Partial aggregation keeps hot keys to at most one shuffle row per input
+    batch (SURVEY.md §2.5 A2)."""
+
+    def __init__(self, keys: list[str], partial: list, final: list):
+        self.keys = list(keys)
+        self.final = list(final)
+        self.columns = self.keys + [a.name for a in self.final]
+        self._partial = _arrow_specs(self.keys, partial)
+        self._final = _arrow_specs(self.keys, final)
+        if self._partial is None or self._final is None:
+            raise ValueError("TwoPhaseAggregate takes Count/Sum/Min/Max only")
+
+    def partials(self, ds: "ray.data.Dataset",
+                 prior: "ray.data.Dataset | None" = None) -> "ray.data.Dataset":
+        keys, specs = self.keys, self._partial
+        out = ds.map_batches(lambda t: aggregate_table(t, keys, specs),
+                             batch_format="pyarrow")
+        if prior is not None:
+            out = out.union(prior.select_columns(self.columns))
+        return out
+
+    def finish(self, t: pa.Table) -> pa.Table:
+        return aggregate_table(t, self.keys, self._final)
+
+    def aggregate(self, ds: "ray.data.Dataset",
+                  prior: "ray.data.Dataset | None" = None) -> "ray.data.Dataset":
+        # compact the (small) partials: shuffle/aggregate cost scales with
+        # block COUNT, and per-batch partials are many tiny blocks (13s →
+        # 1s observed)
+        return grouped_aggregate(
+            self.partials(ds, prior).repartition(_compact_blocks()),
+            self.keys, *self.final)
 
 
 def distinct_nodes(
@@ -403,12 +443,13 @@ def _distributed_cc(
     left the rounds). Each round: (1) edge relax — comp(dst) = min over
     {comp(src) | (src,dst) ∈ E ∪ self-loops}; (2) pointer jump — comp(x) =
     comp(comp(x)) (every label is itself a node, so the lookup is total).
-    The jump doubles the effective propagation distance per round, so
-    convergence is O(log diameter) — the bucket-cap fallback deliberately
-    emits sorted CHAINS for hot LSH buckets (paths 64+ hops long), which
-    plain relaxation would need O(diameter) rounds to collapse. Labels
-    decrease monotonically, so the checksum-based fixpoint test terminates;
-    ``max_rounds`` (default 64 ≈ components of diameter 2**64) is a safety
+    The jump shortcuts label chains, which collapses the sorted CHAINS the
+    bucket-cap fallback emits for hot LSH buckets (paths 64+ hops long)
+    far faster than plain relaxation. It does not bound the rounds by
+    O(log diameter) on every graph: 3,000 random pairs over 6,000 ids plus
+    a 64-node chain took 31 rounds (8 over 2,000 ids), and each round
+    costs 4-5 Ray Data executions. Labels decrease monotonically, so the
+    checksum-based fixpoint test terminates; ``max_rounds`` is a safety
     valve that RAISES rather than silently returning non-converged labels.
     Labels are materialized per round so the lazy lineage doesn't
     re-execute (SURVEY.md §7.3 "connected components on Ray Data")."""
@@ -508,8 +549,8 @@ def _distributed_cc(
             .to_arrow_refs()
         )
     raise RuntimeError(
-        f"connected_components did not converge in {max_rounds} rounds — "
-        "component diameter exceeds 2**rounds; raise max_rounds"
+        f"connected_components did not converge in {max_rounds} rounds; "
+        "raise max_rounds"
     )
 
 

@@ -53,8 +53,8 @@ class FaultOracle:
         self.seen.add(key)
         return True
 
-    def n_fired(self) -> int:
-        return len(self.seen)
+    def fired(self) -> list:
+        return sorted(self.seen)
 
 
 def get_oracle():
@@ -77,8 +77,13 @@ def inject_fault(key, oracle) -> None:
         raise RuntimeError(f"injected fault (first attempt): {key}")
 
 
+def fired_keys() -> list[str]:
+    """Every key an injected fault fired on, as ``str(key)``, sorted."""
+    return ray.get(get_oracle().fired.remote())
+
+
 def fired_count() -> int:
-    return ray.get(get_oracle().n_fired.remote())
+    return len(fired_keys())
 
 
 def reset() -> None:

@@ -1,11 +1,19 @@
-"""S9 — graph materialization: dedup, partition-by-hash, sort, write + manifests.
+"""S9 — graph materialization: aggregate, partition-by-hash, sort, write +
+manifests.
 
-Edges: ``groupby(subj_id, pred, obj_id)`` dedup-count (reference pattern D2/A8:
-duplicate-key groupby + count, scripts/generate_kfold_splits.py:122-131,
-scripts/error_analysis.py:80-88), partial-aggregated before the shuffle.
-Nodes: per-entity aggregate. Both written as ``part=<hash % P>`` Parquet
-directories (the resume unit — a url/entity never straddles partitions, the
-GroupKFold-by-doc analog, SURVEY.md O3) with per-partition lineage manifests.
+Edges: ``groupby(subj_id, pred, obj_id)`` dedup-count with a min provenance
+sample (reference pattern D2/A8: duplicate-key groupby + count,
+scripts/generate_kfold_splits.py:122-131, scripts/error_analysis.py:80-88).
+Nodes: per-entity aggregate of the assignment table. Each is declared once
+as a :class:`~.canonicalize.TwoPhaseAggregate` (:data:`EDGES`,
+:data:`NODES`). Both are written as ``part=<hash % P>`` Parquet directories
+(the resume unit — a url/entity never straddles partitions, the
+GroupKFold-by-doc analog, SURVEY.md O3) with per-partition lineage
+manifests. A table's group key contains its partition key (``entity_id``;
+``subj_id``), so the written plan ships the per-batch partials through the
+write's one exchange and runs the final aggregate inside each write task
+(``write_partitioned(finish=)``); :func:`dedup_edges` and
+:func:`build_nodes` are the lazy plan of the same aggregates.
 """
 
 from __future__ import annotations
@@ -23,52 +31,57 @@ from ..state.manifest import (
     finalize_table,
     write_partition_manifest,
 )
+from .canonicalize import TwoPhaseAggregate
 
 
 EDGE_KEYS = ["subj_id", "pred", "obj_id"]
+
+# (subj_id, pred, obj_id, prov) → one edge per key with its occurrence
+# count and a deterministic provenance sample (min "url#sent_id")
+EDGES = TwoPhaseAggregate(
+    EDGE_KEYS,
+    [Count(alias_name="n_occurrences"), Min("prov", alias_name="prov")],
+    [Sum("n_occurrences", alias_name="n_occurrences"), Min("prov", alias_name="prov")])
+
+# (node, entity_id, canonical_name, type, n_mentions) → one node per entity
+_NODE_AGGS = [Min("canonical_name", alias_name="canonical_name"),
+              Min("type", alias_name="type"),
+              Sum("n_mentions", alias_name="n_mentions")]
+NODES = TwoPhaseAggregate(["entity_id"], _NODE_AGGS, _NODE_AGGS)
 
 
 def dedup_edges(
     triples_with_ids: "ray.data.Dataset", prior: "ray.data.Dataset | None" = None,
 ) -> "ray.data.Dataset":
     """(subj_id, pred, obj_id, prov) → deduped edges with occurrence counts and
-    a deterministic provenance sample (min "url#sent_id").
+    a deterministic provenance sample (min "url#sent_id"): the lazy plan of
+    :data:`EDGES`.
 
     ``prior`` is an existing edge table (e.g. a previous snapshot's); its
-    rows join the per-batch partials before the one aggregate, so counts add
-    and ``prov`` takes the min across both (Sum and Min are associative)."""
-    from .canonicalize import _arrow_specs, _compact_blocks, aggregate_table, grouped_aggregate
-
-    specs = _arrow_specs(EDGE_KEYS, [Count(alias_name="n_occurrences"),
-                                     Min("prov", alias_name="prov")])
-    partials = triples_with_ids.map_batches(
-        lambda t: aggregate_table(t, EDGE_KEYS, specs), batch_format="pyarrow")
-    if prior is not None:
-        partials = partials.union(
-            prior.select_columns(EDGE_KEYS + ["n_occurrences", "prov"]))
-    return grouped_aggregate(
-        partials.repartition(_compact_blocks()),
-        EDGE_KEYS,
-        Sum("n_occurrences", alias_name="n_occurrences"),
-        Min("prov", alias_name="prov"),
-    )
+    rows join the per-batch partials before the final aggregate, so counts
+    add and ``prov`` takes the min across both (Sum and Min are
+    associative)."""
+    return EDGES.aggregate(triples_with_ids, prior)
 
 
 def build_nodes(assignments: "ray.data.Dataset") -> "ray.data.Dataset":
-    """(node, entity_id, canonical_name, type, n_mentions) → nodes table.
+    """(node, entity_id, canonical_name, type, n_mentions) → nodes table:
+    the lazy plan of :data:`NODES` (per-batch partials, then one bucketed
+    :func:`~.canonicalize.grouped_aggregate`)."""
+    return NODES.aggregate(assignments)
 
-    entity_id cardinality is corpus-scale (one group per canonical entity),
-    so this takes grouped_aggregate's bucketed vectorized plan rather than
-    the native per-group reduce."""
-    from .canonicalize import grouped_aggregate
 
-    return grouped_aggregate(
-        assignments,
-        ["entity_id"],
-        Min("canonical_name", alias_name="canonical_name"),
-        Min("type", alias_name="type"),
-        Sum("n_mentions", alias_name="n_mentions"),
-    )
+def read_table(table_dir: str, columns: list[str] | None = None) -> "ray.data.Dataset":
+    """A table written by :func:`write_partitioned`, read back with its own
+    columns only: ``partitioning=None`` keeps Ray from adding the hive
+    ``part`` column of the ``part=<n>`` directories (it would clash with
+    the ``part`` a rewrite appends, and changes the schema of some blocks
+    only). A ``columns`` projection leaves that column out by itself (and
+    Ray 2.49's reader fails on ``columns`` with ``partitioning=None``).
+    Manifests (``_``-prefixed) and temp files are not read."""
+    if columns is not None:
+        return ray.data.read_parquet(table_dir, columns=columns)
+    return ray.data.read_parquet(table_dir, partitioning=None)
 
 
 def write_partitioned(
@@ -89,9 +102,13 @@ def write_partitioned(
     partition, in one table) before the sort, the file and the manifest.
     Any decision local to a ``part_key`` value — a per-doc rewrite, a
     semi-join of rows co-partitioned with their keep-marks — then runs
-    inside the write's one exchange instead of a shuffle of its own. Rows,
-    bytes and the manifest count are those of its output; an empty output
-    writes nothing. It must be deterministic: a retried task reruns it.
+    inside the write's one exchange instead of a shuffle of its own. So
+    does a grouped aggregate whose group key contains ``part_key``: ``ds``
+    holds its partial rows and ``finish`` its final step (every group's
+    partials land in one partition), as for the graph's nodes and edges.
+    Rows, bytes and the manifest count are those of its output; an empty
+    output writes nothing. It must be deterministic: a retried task reruns
+    it.
 
     With ``resume=True``, partitions that already have a manifest are filtered
     out BEFORE any work is written (kill-and-rerun skips finished shards).
@@ -286,7 +303,7 @@ def write_tables(tables: list[dict], *, resume: bool = True) -> list["ray.data.D
                        for spec in jobs]
             for f in futures:
                 f.result()  # re-raise worker exceptions
-    return [ray.data.read_parquet(spec["table_dir"]) for spec in tables]
+    return [read_table(spec["table_dir"]) for spec in tables]
 
 
 def compact_table(
@@ -310,10 +327,6 @@ def compact_table(
     stream from old files to new partitions with one keyed exchange.
     Refuses to compact a table whose completeness marker is missing
     (a half-written source would silently lose rows)."""
-    import os
-
-    import ray.data as _rd
-
     from ..state.manifest import table_complete
 
     if not table_complete(in_dir):
@@ -321,12 +334,8 @@ def compact_table(
             f"compact_table: {in_dir} has no completeness marker — "
             "refusing to compact a possibly torn table")
     # read the table root: Ray's parquet datasource skips _-prefixed
-    # manifest files at both levels, so the part= layout reads as one table;
-    # the hive read materializes the OLD "part" as a column — drop it, the
-    # new bucketing owns that name
-    ds = _rd.read_parquet(in_dir).map_batches(
-        lambda t: t.drop_columns(["part"]) if "part" in t.column_names else t,
-        batch_format="pyarrow")
+    # manifest files at both levels, so the part= layout reads as one table
+    ds = read_table(in_dir)
     return write_partitioned(ds, out_dir, part_key,
                              n_partitions=n_partitions, sort_key=sort_key,
                              resume=False)

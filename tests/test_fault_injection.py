@@ -17,15 +17,24 @@ import pytest
 import ray
 
 
+def _write_faults(out_dir, table):
+    """Partitions of ``out_dir``/``table`` whose write task had an injected
+    fault (the oracle keys are ``str(("write", table_dir, part))``)."""
+    from ner_extractor_ray.stages import faults
+
+    prefix = str(("write", os.path.join(out_dir, table)))[:-1] + ", "
+    return [k for k in faults.fired_keys() if k.startswith(prefix)]
+
+
+def _sorted_rows(ds):
+    return sorted(tuple(sorted(r.items())) for r in ds.take_all())
+
+
 def _kg(pdir, out_dir):
     from ner_extractor_ray.pipelines.kg import pages_dataset, run_kg
 
     res = run_kg(pages_dataset(pdir), out_dir=out_dir, n_partitions=8)
-    edges = sorted(
-        tuple(sorted(r.items())) for r in res["edges"].take_all())
-    nodes = sorted(
-        tuple(sorted(r.items())) for r in res["nodes"].take_all())
-    return edges, nodes
+    return _sorted_rows(res["edges"]), _sorted_rows(res["nodes"])
 
 
 def test_task_retry_idempotent(tmp_path, monkeypatch):
@@ -45,6 +54,9 @@ def test_task_retry_idempotent(tmp_path, monkeypatch):
     faulty_edges, faulty_nodes = _kg(pdir, faulty_out)
     fired = faults.fired_count()
     assert fired > 0, "no fault was injected — the harness is dead"
+    # a retried nodes/edges write task reruns the final aggregate
+    # (write_partitioned finish=) and must land the same rows
+    assert _write_faults(faulty_out, "nodes") and _write_faults(faulty_out, "edges")
 
     assert faulty_edges == clean_edges
     assert faulty_nodes == clean_nodes
@@ -194,7 +206,9 @@ def test_curation_task_retry_idempotent(tmp_path, monkeypatch):
 def test_update_kg_task_retry_idempotent(tmp_path, monkeypatch):
     """Incremental update under injection: prev snapshot built clean, then
     the SAME update run twice (clean vs fault-injected) must produce
-    identical merged edge sets with frozen ids intact."""
+    identical merged node and edge sets with frozen ids intact, with a
+    fault fired in at least one nodes and one edges write task (each reruns
+    its final aggregate, the frozen edges folded in)."""
     import glob
 
     import ray.data as _rd
@@ -213,13 +227,17 @@ def test_update_kg_task_retry_idempotent(tmp_path, monkeypatch):
     run_kg(rd(files[:1]), out_dir=str(base / "prev"), n_partitions=8)
     clean = update_kg(str(base / "prev"), rd(files[1:]),
                       str(base / "upd_clean"), n_partitions=8)
-    ce = sorted(tuple(sorted(r.items())) for r in clean["edges"].take_all())
+    ce = _sorted_rows(clean["edges"])
 
     monkeypatch.setenv(faults.FAULT_ENV, "1")
     faults.reset()
-    faulty = update_kg(str(base / "prev"), rd(files[1:]),
-                       str(base / "upd_fault"), n_partitions=8)
-    fe = sorted(tuple(sorted(r.items())) for r in faulty["edges"].take_all())
+    faulty_out = str(base / "upd_fault")
+    faulty = update_kg(str(base / "prev"), rd(files[1:]), faulty_out,
+                       n_partitions=8)
+    fe = _sorted_rows(faulty["edges"])
     assert faults.fired_count() > 0
+    assert _write_faults(faulty_out, "nodes") and _write_faults(faulty_out, "edges")
     assert fe == ce and len(ce) > 0
+    assert _sorted_rows(faulty["nodes"]) == _sorted_rows(clean["nodes"])
+    assert len(_sorted_rows(clean["nodes"])) > 0
     faults.reset()
