@@ -19,7 +19,10 @@ file, sorted by path):
     diff a.txt b.txt
 
 The script imports the engine from the checkout it lives in and puts that
-checkout on the Ray workers' path. Ray gets ``--cpus`` CPUs (default 1).
+checkout on the Ray workers' path. The fixture sizes, seed, partition count
+and Ray's CPU count are fixed below, so two trees are always hashed under the
+same settings. Before a fixture runs, only its own ``<work>/<fixture>``
+directory is emptied.
 """
 
 from __future__ import annotations
@@ -31,6 +34,12 @@ import shutil
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+FIXTURES = ("kg-default", "kg-scale", "curation")
+SEED = 7
+N_PAGES, N_UPDATE_PAGES = 1000, 500
+N_DOCS, N_UPDATE_DOCS = 1600, 320
+N_PARTITIONS = 4
+N_CPUS = 1
 
 
 def _sha256(path: str) -> str:
@@ -96,16 +105,9 @@ def _hash_tree(work: str, fixture: str) -> list[tuple[str, str]]:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--work", default=os.path.join(ROOT, ".hash_outputs"),
-                    help="scratch directory for inputs and outputs (emptied first)")
-    ap.add_argument("--seed", type=int, default=7)
-    ap.add_argument("--pages", type=int, default=1000)
-    ap.add_argument("--update-pages", type=int, default=500)
-    ap.add_argument("--docs", type=int, default=1600)
-    ap.add_argument("--update-docs", type=int, default=320)
-    ap.add_argument("--partitions", type=int, default=4)
-    ap.add_argument("--cpus", type=int, default=1)
-    ap.add_argument("--only", choices=["kg-default", "kg-scale", "curation"],
-                    action="append", help="run only these fixtures")
+                    help="scratch directory; each fixture's subdirectory is emptied first")
+    ap.add_argument("--only", choices=FIXTURES, action="append",
+                    help="run only these fixtures")
     args = ap.parse_args(argv)
 
     os.environ["PYTHONPATH"] = os.pathsep.join(
@@ -115,24 +117,24 @@ def main(argv=None) -> int:
     import ray
     from ray.data import DataContext
 
-    shutil.rmtree(args.work, ignore_errors=True)
-    ray.init(address="local", num_cpus=args.cpus, include_dashboard=False,
+    ray.init(address="local", num_cpus=N_CPUS, include_dashboard=False,
              logging_level="ERROR", log_to_driver=False,
              object_store_memory=256 << 20)
     DataContext.get_current().enable_progress_bars = False
     fixtures = {
         "kg-default": lambda w: _kg_fixture(
-            w, args.seed, args.pages, args.update_pages, args.partitions, {}),
+            w, SEED, N_PAGES, N_UPDATE_PAGES, N_PARTITIONS, {}),
         "kg-scale": lambda w: _kg_fixture(
-            w, args.seed, args.pages, args.update_pages, args.partitions,
+            w, SEED, N_PAGES, N_UPDATE_PAGES, N_PARTITIONS,
             {"broadcast_limit": 0, "canon_driver_threshold": 0}),
         "curation": lambda w: _curation_fixture(
-            w, args.seed, args.docs, args.update_docs, args.partitions),
+            w, SEED, N_DOCS, N_UPDATE_DOCS, N_PARTITIONS),
     }
     rows = []
     try:
-        for name in args.only or list(fixtures):
+        for name in args.only or FIXTURES:
             work = os.path.join(args.work, name)
+            shutil.rmtree(work, ignore_errors=True)
             fixtures[name](work)
             rows += _hash_tree(work, name)
     finally:
