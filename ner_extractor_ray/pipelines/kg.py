@@ -32,7 +32,6 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
-from ..functions.gazetteer import alias_canonical_map
 from ..stages.canonicalize import canonicalize_nodes, distinct_nodes
 from ..stages.extract import extract_batch
 from ..stages.joins import hash_join
@@ -47,7 +46,7 @@ from ..stages.materialize import (
     write_tables,
 )
 from ..stages.sentseg import sentseg_batch
-from ..stages.tagger import DeterministicTagger
+from ..stages.tagger import DeterministicTagger, default_tagger_concurrency
 from ..stages.tokenize import tokenize_batch
 from ..state.manifest import table_complete
 
@@ -63,15 +62,6 @@ def pages_dataset(path: str, *, with_ts: bool = False) -> "ray.data.Dataset":
     files = sorted(glob.glob(os.path.join(path, "pages-*.parquet"))) or path
     cols = PAGE_COLUMNS + ["warc_ts"] if with_ts else PAGE_COLUMNS
     return ray.data.read_parquet(files, columns=cols)
-
-
-def default_tagger_concurrency() -> tuple[int, int]:
-    """Size the scorer pool to the cluster, leaving headroom for the read and
-    shuffle stages — a pool that reserves every CPU starves the reads and the
-    pipeline deadlocks (observed at num_cpus=4 with a fixed pool of 4)."""
-    cpus = int(ray.cluster_resources().get("CPU", 4)) if ray.is_initialized() else 4
-    hi = max(1, cpus - 2)
-    return (1, hi)
 
 
 def tag_sentences(
@@ -269,7 +259,9 @@ def run_kg(
     additionally checkpoints the tagged-sentences table (two corpus passes,
     useful when tags feed other consumers).
     """
-    from ..stages.annotate import Annotator, split_annotations
+    from ..stages.annotate import (
+        MENTION_COLS, TRIPLE_COLS, annotate_sentences, kind_filter, split_annotations,
+    )
     from ..stages.faults import fault_stage
 
     from .. import __version__
@@ -317,8 +309,6 @@ def run_kg(
             pages, broadcast_limit=broadcast_limit
         ).map_batches(lambda t: t.select(PAGE_COLUMNS), batch_format="pyarrow")
 
-    alias = alias_canonical_map()
-    alias_ref = ray.put(alias)
     ann_dir = os.path.join(out_dir, "annotations") if out_dir else None
     tagged = None
 
@@ -359,18 +349,8 @@ def run_kg(
             tagged = read_table(tagged_dir)
 
         # ---- S5+S6+S7a fused into the same pass
-        if use_actors:
-            ann = tagged.map_batches(
-                Annotator,
-                batch_format="pyarrow",
-                batch_size=batch_size,
-                fn_constructor_kwargs={"alias_ref": alias_ref},
-                concurrency=tagger_concurrency or default_tagger_concurrency(),
-            )
-        else:
-            ann = tagged.map_batches(
-                Annotator(alias), batch_format="pyarrow", batch_size=batch_size
-            )
+        ann = annotate_sentences(tagged, batch_size=batch_size, use_actors=use_actors,
+                                 concurrency=tagger_concurrency)
         if ann_dir:
             # materialize the DISTILLED annotations table before the
             # partition-aligned write: the write's Sort is a full barrier
@@ -391,20 +371,12 @@ def run_kg(
     if ann is None:
         # prune at the read: each consumer loads only its columns from the
         # checkpoint instead of the full 17-column table
-        from ..stages.annotate import MENTION_COLS, TRIPLE_COLS
-
-        def _kind_filter(kind, cols):
-            def fn(t: pa.Table) -> pa.Table:
-                return t.filter(pc.equal(t.column("kind"), kind)).select(cols)
-
-            return fn
-
         mentions = read_table(
             ann_dir, columns=["kind"] + MENTION_COLS
-        ).map_batches(_kind_filter("m", MENTION_COLS), batch_format="pyarrow")
+        ).map_batches(kind_filter("m", MENTION_COLS), batch_format="pyarrow")
         triples = read_table(
             ann_dir, columns=["kind"] + TRIPLE_COLS
-        ).map_batches(_kind_filter("t", TRIPLE_COLS), batch_format="pyarrow")
+        ).map_batches(kind_filter("t", TRIPLE_COLS), batch_format="pyarrow")
         ann = read_table(ann_dir)
     else:
         mentions, triples = split_annotations(ann)

@@ -47,7 +47,6 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
-from ..functions.gazetteer import alias_canonical_map
 from ..stages.canonicalize import (
     _NODES,
     _rename_project,
@@ -57,7 +56,7 @@ from ..stages.canonicalize import (
 from ..stages.joins import _bucket_hash, hash_join
 from ..stages.materialize import read_table, write_partitioned
 from ..state.manifest import table_complete
-from .kg import default_tagger_concurrency, link_ids, tag_sentences, write_graph
+from .kg import link_ids, tag_sentences, write_graph
 
 ASSIGN_SCHEMA = pa.schema([("node", pa.string()), ("entity_id", pa.string()),
                            ("canonical_name", pa.string()),
@@ -82,7 +81,7 @@ def _project(t: pa.Table, src: list[str], schema: pa.Schema) -> pa.Table:
 def _prev_distinct(prev_assign: "ray.data.Dataset") -> "ray.data.Dataset":
     """Rebuild the distinct-node table shape from a frozen assignment table.
 
-    ``node`` is ``f\"{type}:{norm_key}\"`` (the Annotator's node_of),
+    ``node`` is ``f\"{type}:{norm_key}\"`` (the Annotator's ``node`` column),
     so norm_key is ``node`` minus its first ``type:`` prefix — no re-read
     of the previous corpus."""
 
@@ -186,7 +185,7 @@ def update_kg(
     Returns the same result dict shape as run_kg (annotations of the NEW
     batch, merged assignments/nodes/edges). ``out_dir`` must differ from
     ``prev_dir`` (snapshots are immutable)."""
-    from ..stages.annotate import Annotator, split_annotations
+    from ..stages.annotate import annotate_sentences, split_annotations
     from ..stages.faults import fault_stage
     from .. import __version__
 
@@ -211,7 +210,6 @@ def update_kg(
     }
 
     # ---- S1–S7a fused pass over the NEW pages only (annotations checkpoint)
-    alias = alias_canonical_map()
     ann_dir = os.path.join(out_dir, "annotations")
     if table_complete(ann_dir) and resume:
         ann = read_table(ann_dir)
@@ -221,15 +219,8 @@ def update_kg(
             batch_size=batch_size, use_actors=use_actors,
             lang_filter=lang_filter,
         )
-        if use_actors:
-            ann = tagged.map_batches(
-                Annotator, batch_format="pyarrow", batch_size=batch_size,
-                fn_constructor_kwargs={"alias_ref": ray.put(alias)},
-                concurrency=tagger_concurrency or default_tagger_concurrency(),
-            )
-        else:
-            ann = tagged.map_batches(
-                Annotator(alias), batch_format="pyarrow", batch_size=batch_size)
+        ann = annotate_sentences(tagged, batch_size=batch_size, use_actors=use_actors,
+                                 concurrency=tagger_concurrency)
         write_partitioned(ann, ann_dir, "url", n_partitions=n_partitions,
                           resume=resume,
                           lineage={**lineage, "stage": "annotations"})

@@ -22,6 +22,7 @@ import ray.data
 
 from ..functions.bio import build_bio_tags, extract_entities, fix_bio
 from ..functions.hashing import stable_hash64
+from .annotate import join_ranges, tagged_spans
 
 
 def build_entity_pool(tagged: "ray.data.Dataset") -> dict[str, list[str]]:
@@ -31,13 +32,11 @@ def build_entity_pool(tagged: "ray.data.Dataset") -> dict[str, list[str]]:
     driver merge of the small distinct table (surfaces vocabulary)."""
 
     def partial(t: pa.Table) -> pa.Table:
-        seen: set[tuple[str, str]] = set()
-        for tokens, tags in zip(t.column("tokens").to_pylist(), t.column("tags").to_pylist()):
-            for (typ, s, e) in extract_entities(fix_bio(list(tags))):
-                seen.add((typ, " ".join(tokens[s:e])))
-        types, surfs = zip(*sorted(seen)) if seen else ((), ())
-        return pa.table({"type": pa.array(list(types), pa.string()),
-                         "surface": pa.array(list(surfs), pa.string())})
+        spans, tokens = tagged_spans(t)
+        return pa.table({
+            "type": spans.type_array(),
+            "surface": join_ranges(tokens, spans.start, spans.end),
+        }).group_by(["type", "surface"]).aggregate([])
 
     pool: dict[str, set[str]] = {}
     for row in tagged.map_batches(partial, batch_format="pyarrow").take_all():

@@ -19,6 +19,7 @@ per SURVEY.md §7.0:
 from __future__ import annotations
 
 import pyarrow as pa
+import ray
 
 from .. import LABELS
 from ..functions.gazetteer import gazetteer_token_trie
@@ -187,3 +188,12 @@ try:  # optional real-model scorer when torch/transformers are installed
 
 except ImportError:  # pragma: no cover - torch not installed in this sandbox
     HFTagger = None
+
+
+def default_tagger_concurrency() -> tuple[int, int]:
+    """Size the scorer pool to the cluster, leaving headroom for the read and
+    shuffle stages — a pool that reserves every CPU starves the reads and the
+    pipeline deadlocks (observed at num_cpus=4 with a fixed pool of 4)."""
+    cpus = int(ray.cluster_resources().get("CPU", 4)) if ray.is_initialized() else 4
+    hi = max(1, cpus - 2)
+    return (1, hi)

@@ -97,22 +97,23 @@ def test_skew_pages_hot_entity(tmp_path):
 
 def test_annotations_identical_across_batch_sizes(small_pages_dir):
     """Batching must be invisible: batch_size 64 vs 1024 produce identical
-    annotation rows (determinism criterion, SURVEY.md §2.9)."""
+    annotation rows, every one of the 17 columns (determinism criterion,
+    SURVEY.md §2.9)."""
     from ner_extractor_ray.functions.gazetteer import alias_canonical_map
     from ner_extractor_ray.pipelines.kg import pages_dataset, tag_sentences
-    from ner_extractor_ray.stages.annotate import Annotator
+    from ner_extractor_ray.stages.annotate import ANNOTATION_SCHEMA, Annotator
 
     def run(bs):
         ann = tag_sentences(pages_dataset(small_pages_dir), batch_size=bs).map_batches(
             Annotator(alias_canonical_map()), batch_format="pyarrow", batch_size=bs
         )
-        return sorted(
-            (r["kind"], r["url"], r["sent_id"], r.get("node"), r.get("subj_node"),
-             r.get("pred"), r.get("obj_node"))
-            for r in ann.take_all()
-        )
+        # kind leads, and within one kind the null columns are the same, so
+        # the tuples never compare None with a value
+        return sorted(tuple(r[c] for c in ANNOTATION_SCHEMA.names) for r in ann.take_all())
 
-    assert run(64) == run(1024)
+    rows = run(64)
+    assert rows and {r[0] for r in rows} == {"m", "t"}
+    assert rows == run(1024)
 
 
 def test_nation_priority_grid_zero_fill(tmp_path):
