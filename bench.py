@@ -1,382 +1,239 @@
 #!/usr/bin/env python
 """Benchmark harness — one JSON line on stdout (driver contract).
 
-    python bench.py              # timed suite at $GRAFT_SF_DIR / $RAY_GRAFT_CPUS
-    python bench.py --scaling    # same job at 8 and 32 CPUs in fresh
-                                 # processes + scaling efficiency (the
-                                 # sandbox-feasible N→4N-node evidence)
-    python bench.py --scaling-web  # host_link_graph (html parse → host
-                                   # pair aggregate) over a 3.2M-page
-                                   # link-planted corpus, 8 vs 32 CPUs
+    python bench.py                # timed suite at $GRAFT_SF_DIR / $RAY_GRAFT_CPUS
+    python bench.py --scaling      # the kg job at 8 and 32 CPUs + scaling efficiency
+    python bench.py --scaling-web  # host_link_graph over 3.2M pages, 8 vs 32 CPUs
+    python bench.py --scaling-cur  # run_curation over $GRAFT_CUR_DOCS docs, 8 vs 32 CPUs
+    python bench.py --soak         # the kg job uncapped, then under a 2 GiB object store
 
-Headline metric: end-to-end KG-construction seconds over the deterministic
-synthetic pages corpus (FIXTURES.md bench scale), plus per-query seconds for
-the operator suite over the TPC-H-ish testdata tables. ``kg_docs_per_sec`` is
-the throughput the north rule tracks.
+Jobs :func:`kg`, :func:`web` and :func:`cur` time ``reps`` runs after one warm
+read: ``{"reps": [...], "min": s, "check": ...}``. The suite runs ``kg``
+in-process, then the operator queries on the testdata tables; each scaling or
+soak leg is one job in a fresh process with its own Ray (:func:`run_job`).
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
+import re
 import shutil
+import subprocess
 import sys
 import time
 
+import ray
+from ray.data import DataContext
 
-def _sf_from_dir(sf_dir: str) -> float:
-    import re
+from ner_extractor_ray.functions.weblinks import host_link_graph
+from ner_extractor_ray.pipelines.curation import run_curation
+from ner_extractor_ray.pipelines.kg import pages_dataset, run_kg
+from ner_extractor_ray.sources.pages import write_pages
+from ner_extractor_ray.stages.materialize import collect_table
 
-    m = re.search(r"sf([0-9.]+)", sf_dir)
-    return float(m.group(1)) if m else 0.1
+# min-of-N: shared hosts swing ±2× on single runs under ambient load; the MIN
+# over repeats is the least-contended measurement and is the recorded metric
+REPEATS = int(os.environ.get("GRAFT_BENCH_REPEATS", "3"))
+SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
+_m = re.search(r"sf([0-9.]+)", SF_DIR)
+SF = float(_m.group(1)) if _m else 0.1
+WEB_PAGES = 3_200_000
+CUR_DOCS = int(os.environ.get("GRAFT_CUR_DOCS", "400000"))
+
+SUITE = """pricing_summary events_hourly word_freq exact_dedup minhash_neardup
+knn_cosine token_stats customer_by_nation order_rank purchase_clicks_window
+kmeans_fixed graph_components table_checksum dedup_ngram_spans neardup_keep_best
+host_link_graph url_canonical_dedup curation_pipeline crawl_frontier
+entity_cooccurrence user_sessions_segmented""".split()
 
 
-def run_suite(sf_dir: str, num_cpus: int) -> dict:
-    import ray
+def _n_pages(mult_default: str) -> int:
+    """kg pages: 500k per unit of scale factor × $GRAFT_BENCH_PAGES_MULT. Scaling
+    and soak legs default to 32× (1.6M pages at sf0.1) so compute dominates the
+    fixed orchestration latency (round-3 efficiency: 0.23 at 50k, 0.87 at 800k)."""
+    mult = int(os.environ.get("GRAFT_BENCH_PAGES_MULT", mult_default))
+    return max(500, int(500_000 * SF)) * mult
 
-    ray.init(
-        address="local",
-        num_cpus=num_cpus,
-        include_dashboard=False,
-        ignore_reinit_error=True,
-        logging_level="ERROR",
-    )
-    from ray.data import DataContext
 
-    ctx = DataContext.get_current()
-    ctx.enable_progress_bars = False
-    ctx.execution_options.verbose_progress = False
-    # size block counts to the cluster: the default min_parallelism=200 splits
-    # small-scale inputs into hundreds of tiny blocks and per-task scheduling
-    # overhead dominates (at 100 TB the natural block count far exceeds this)
-    ctx.min_parallelism = num_cpus * 2
-    ctx.read_op_min_num_blocks = num_cpus * 2
+def _pages(n: int, root: str = "/tmp") -> str:
+    """The deterministic pages corpus of ``n`` pages, written if missing."""
+    corpus = os.path.join(root, f"ner_ray_bench_pages_{n}")
+    if not os.path.exists(os.path.join(corpus, "gold_triples.parquet")):
+        write_pages(corpus, n, seed=42, n_files=32)
+    return corpus
 
-    from ner_extractor_ray.pipelines import queries as Q
-    from ner_extractor_ray.pipelines.kg import pages_dataset, run_kg
-    from ner_extractor_ray.sources.pages import write_pages
 
-    sf = _sf_from_dir(sf_dir)
-    mult = int(os.environ.get("GRAFT_BENCH_PAGES_MULT", "1"))
-    n_pages = max(500, int(500_000 * sf)) * mult  # sf0.1 → 50k pages (FIXTURES bench)
-    pages_dir = f"/tmp/ner_ray_bench_pages_{n_pages}"
-    if not os.path.exists(os.path.join(pages_dir, "gold_triples.parquet")):
-        write_pages(pages_dir, n_pages, seed=42, n_files=32)
+def _docs(n: int, root: str = "/tmp") -> str:
+    """The curation corpus file, written if missing: ``n`` 40-word docs, each
+    12th an exact dup of the doc before it and each 25th a near dup (one
+    extra tail word) — 88% unique, 8% exact and 4% near dups."""
+    path = os.path.join(root, f"ner_ray_curdocs_{n}", "documents.parquet")
+    if not os.path.exists(path):
+        import pyarrow as pa
+        import pyarrow.parquet as pq
 
-    timings: dict[str, float] = {}
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        schema = pa.schema([("doc_id", pa.int64()), ("text", pa.string())])
+        with pq.ParquetWriter(path, schema) as w:
+            for lo in range(0, n, 50_000):
+                ids = range(lo, min(lo + 50_000, n))
+                w.write_table(pa.table([pa.array(ids), pa.array([_doc(i) for i in ids])],
+                                       schema=schema))
+    return path
 
-    # warm the page cache so we measure compute+shuffle, not first disk read
-    pages_dataset(pages_dir).count()
 
-    # min-of-N: this box has ambient load swings (±2× on single runs — the
-    # round-1 driver bench read 2.2× above the recorded number); the MIN over
-    # repeats is the least-contended measurement and is the recorded metric.
-    repeats = int(os.environ.get("GRAFT_BENCH_REPEATS", "3"))
-    kg_runs = []
-    out_dir = f"/tmp/ner_ray_bench_kg_{num_cpus}"
-    n_edges = 0
-    for _ in range(repeats):
-        shutil.rmtree(out_dir, ignore_errors=True)
+def _doc(i: int) -> str:
+    base = i - 1 if i % 25 == 24 or i % 12 == 11 else i
+    return " ".join(f"d{base}w{j}" for j in range(40)) + (" vv" if i % 25 == 24 else "")
+
+
+def _timed(run, reps: int, out: str | None = None) -> dict:
+    """``reps`` timed calls of ``run`` (``out`` emptied before each, untimed);
+    check = the last call's return value."""
+    times = []
+    for _ in range(reps):
+        if out:
+            shutil.rmtree(out, ignore_errors=True)
         t0 = time.perf_counter()
-        # n_partitions is DATA-sized (the materialize.py scale contract:
-        # each partition fits a worker heap; at 100 TB that means thousands)
-        # — identical at every CPU level so both scaling legs write the same
-        # layout. A fixed 16 capped the aligned write at 16 tasks and the
-        # 32-CPU leg with it (measured 53.9 s → 37.8 s at 800k pages with
-        # 64 parts + the packed-blob exchange); tiny corpora keep 16 so the
-        # per-partition parquet slices don't degenerate to KB-sized blobs.
-        n_parts = max(16, min(256, n_pages // 12_500))
-        res = run_kg(pages_dataset(pages_dir), out_dir=out_dir, n_partitions=n_parts)
-        n_edges = res["edges"].count()
-        kg_runs.append(time.perf_counter() - t0)
-    kg_sec = min(kg_runs)
-    timings["kg_pipeline"] = round(kg_sec, 3)
+        check = run()
+        times.append(round(time.perf_counter() - t0, 3))
+    return {"reps": times, "min": min(times), "check": check}
 
-    suite = [
-        "pricing_summary", "events_hourly", "word_freq", "exact_dedup",
-        "minhash_neardup", "knn_cosine", "token_stats", "customer_by_nation",
-        # round-2 additions: distributed rank + banded interval join
-        "order_rank", "purchase_clicks_window",
-        # round-3 additions: iterative integer k-means + graph CC + the
-        # table-fingerprint validation pass + the curation dedup family
-        # (exact-substring span rewrite, LSH+CC keep-longest decision)
-        "kmeans_fixed", "graph_components", "table_checksum",
-        "dedup_ngram_spans", "neardup_keep_best",
-        # round-3 webtext additions: html link extraction → host graph, and
-        # canonical-URL variant dedup
-        "host_link_graph", "url_canonical_dedup",
-        # round-4 additions: the curation flagship (gate → dedup →
-        # keep-longest → span-rewrite composition), the composed web op
-        # (pagerank × staleness full-outer frontier scoring), and the
-        # KG-analytics marquee (sentence-bucketed entity co-occurrence)
-        "curation_pipeline", "crawl_frontier", "entity_cooccurrence",
-        # round-5 addition: the bot-proof segmented-reduce sessionization
-        "user_sessions_segmented",
-    ]
-    if os.environ.get("GRAFT_BENCH_KG_ONLY"):
-        suite = []
-    qmap = Q.queries()
-    for name in suite:
-        t0 = time.perf_counter()
-        r = qmap[name](sf_dir)
-        if hasattr(r, "count"):
-            r.count()  # consume the lazy dataset
-        timings[name] = round(time.perf_counter() - t0, 3)
 
-    total = round(sum(timings.values()), 3)
-    result = {
-        "metric": "e2e suite seconds (kg pipeline + operator queries)",
-        "value": total,
-        "unit": "sec",
-        "queries": timings,
-        "sf": sf,
-        "num_cpus": num_cpus,
-        "kg_pages": n_pages,
-        "kg_edges": n_edges,
-        "kg_docs_per_sec": round(n_pages / kg_sec, 1),
-        "kg_repeats_sec": [round(x, 3) for x in kg_runs],
-    }
-    ray.shutdown()
+def kg(corpus: str, out: str, reps: int, hashes: bool = False) -> dict:
+    """run_kg over the pages at ``corpus`` into ``out``. Check: the edge
+    count, or with ``hashes`` the digests of the sorted edge and node rows."""
+    n_pages = pages_dataset(corpus).count()  # warm the page cache
+    # DATA-sized partitions, the same at every CPU level (a fixed 16 capped the
+    # aligned write at 16 tasks: 53.9 s → 37.8 s at 800k pages with 64 parts)
+    n_parts = max(16, min(256, n_pages // 12_500))
+    res: dict = {}
+
+    def once() -> int:
+        res.update(run_kg(pages_dataset(corpus), out_dir=out, n_partitions=n_parts))
+        return res["edges"].count()
+
+    result = _timed(once, reps, out)
+    if hashes:
+        result["check"] = {t: hashlib.sha256(repr(sorted(
+            tuple(sorted(r.items())) for r in collect_table(res[t]).to_pylist()
+        )).encode()).hexdigest()[:16] for t in ("edges", "nodes")}
     return result
 
 
+def web(corpus: str, reps: int) -> dict:
+    """host_link_graph (html → host pair aggregate); check = the page count."""
+    n_pages = pages_dataset(corpus).count()  # warm read
+    result = _timed(lambda: host_link_graph(pages_dataset(corpus)).count(), reps)
+    return {**result, "check": n_pages}
+
+
+def cur(docs: str, out: str, reps: int) -> dict:
+    """run_curation of the ``docs`` file into ``out``; check = curated rows."""
+    ray.data.read_parquet(docs).count()  # warm read
+    return _timed(lambda: run_curation(ray.data.read_parquet(docs), out_dir=out,
+                                       n_partitions=64)["curated"].count(), reps, out)
+
+
+def _init_ray(cpus: int, cap: int = 0) -> None:
+    """Ray on ``cpus`` CPUs (object store capped at ``cap`` bytes if set)."""
+    ray.init(address="local", num_cpus=cpus, object_store_memory=cap or None,
+             include_dashboard=False, ignore_reinit_error=True, logging_level="ERROR")
+    ctx = DataContext.get_current()
+    ctx.enable_progress_bars = False
+    ctx.execution_options.verbose_progress = False
+    # block counts sized to the cluster: the default min_parallelism=200 splits
+    # small inputs into hundreds of tiny blocks and per-task overhead dominates
+    ctx.min_parallelism = ctx.read_op_min_num_blocks = cpus * 2
+
+
+def child(job: str, cpus: int, cap: int | None) -> None:
+    """Body of a :func:`run_job` process: prints the job's result line. A
+    ``cap`` (bytes, 0 = none) makes it a soak leg: one hashed kg run."""
+    _init_ray(cpus, cap or 0)
+    if job == "kg":
+        res = kg(_pages(_n_pages("32")), f"/tmp/ner_ray_bench_kg_{cpus}",
+                 REPEATS if cap is None else 1, hashes=cap is not None)
+    elif job == "web":
+        res = web(_pages(WEB_PAGES), REPEATS)
+    else:
+        res = cur(_docs(CUR_DOCS), f"/tmp/cur_scale_{cpus}", REPEATS)
+    print(json.dumps(res))
+    ray.shutdown()
+
+
+def run_job(job: str, cpus: int, cap: int | None = None) -> dict:
+    """``job`` in a fresh process with its own Ray session; its last line."""
+    out = subprocess.run(
+        [sys.executable, "-c", f"import bench; bench.child({job!r}, {cpus}, {cap})"],
+        cwd=os.path.dirname(os.path.abspath(__file__)),
+        capture_output=True, text=True, check=True).stdout
+    return json.loads(out.strip().splitlines()[-1])
+
+
+def _pair(job: str, n: int, unit: str) -> tuple[dict, dict, dict]:
+    """``job`` at 8 and 32 CPUs (checks must agree): both results and the
+    keys every scaling line shares, rates over ``n`` ``unit``."""
+    lo, hi = run_job(job, 8), run_job(job, 32)
+    assert lo["check"] == hi["check"], (lo, hi)
+    return lo, hi, {
+        f"{unit}_per_sec_8": round(n / lo["min"], 1),
+        f"{unit}_per_sec_32": round(n / hi["min"], 1),
+        "scaling_efficiency": round(lo["min"] / hi["min"] / 4, 3),
+        "repeats_sec_8": lo["reps"], "repeats_sec_32": hi["reps"]}
+
+
+def run_suite(num_cpus: int) -> dict:
+    _init_ray(num_cpus)
+    from ner_extractor_ray.pipelines import queries as Q
+
+    n_pages = _n_pages("1")
+    res = kg(_pages(n_pages), f"/tmp/ner_ray_bench_kg_{num_cpus}", REPEATS)
+    timings = {"kg_pipeline": res["min"]}
+    qmap = Q.queries()
+    for name in SUITE:
+        t0 = time.perf_counter()
+        r = qmap[name](SF_DIR)
+        if hasattr(r, "count"):
+            r.count()  # consume the lazy dataset
+        timings[name] = round(time.perf_counter() - t0, 3)
+    ray.shutdown()
+    return {"metric": "e2e suite seconds (kg pipeline + operator queries)",
+            "value": round(sum(timings.values()), 3), "unit": "sec",
+            "queries": timings, "sf": SF, "num_cpus": num_cpus,
+            "kg_pages": n_pages, "kg_edges": res["check"],
+            "kg_docs_per_sec": round(n_pages / res["min"], 1),
+            "kg_repeats_sec": res["reps"]}
+
+
 def main() -> None:
-    sf_dir = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
-    num_cpus = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
-
+    cpus = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
     if "--scaling-web" in sys.argv:
-        import subprocess
-
-        corpus = "/tmp/ner_ray_linkpages_3200k"
-        if not os.path.exists(os.path.join(corpus, "gold_links.parquet")):
-            # one-time generation (~10 min single-process); cached afterwards
-            from ner_extractor_ray.sources.pages import write_pages
-
-            write_pages(corpus, 3_200_000, seed=42, n_files=64)
-
-        prog = f"""
-import ray, sys, time, json
-ncpu = int(sys.argv[1])
-ray.init(address="local", num_cpus=ncpu, include_dashboard=False,
-         logging_level="ERROR")
-from ray.data import DataContext
-ctx = DataContext.get_current(); ctx.enable_progress_bars = False
-ctx.min_parallelism = ncpu * 2; ctx.read_op_min_num_blocks = ncpu * 2
-from ner_extractor_ray.functions.weblinks import host_link_graph
-from ner_extractor_ray.pipelines.kg import pages_dataset
-pages_dataset({corpus!r}).count()
-reps = []
-for _ in range(3):
-    t0 = time.perf_counter()
-    host_link_graph(pages_dataset({corpus!r})).count()
-    reps.append(round(time.perf_counter() - t0, 2))
-print(json.dumps({{"reps": reps, "min": min(reps)}}))
-ray.shutdown()
-"""
-
-        def runweb(ncpu: int) -> dict:
-            out = subprocess.run([sys.executable, "-c", prog, str(ncpu)],
-                                 capture_output=True, text=True, check=True).stdout
-            return json.loads(out.strip().splitlines()[-1])
-
-        lo, hi = runweb(8), runweb(32)
-        print(json.dumps({
-            "metric": "host_link_graph scaling 8→32 cpus",
-            "pages": 3_200_000,
-            "pages_per_sec_8": round(3_200_000 / lo["min"], 1),
-            "pages_per_sec_32": round(3_200_000 / hi["min"], 1),
-            "scaling_efficiency": round((lo["min"] / hi["min"]) / 4, 3),
-            "repeats_sec_8": lo["reps"],
-            "repeats_sec_32": hi["reps"],
-        }))
-        return
-
-    if "--scaling-cur" in sys.argv:
-        # Curation-flagship scaling pair (round 5): run_curation over a
-        # deterministic 400k-doc corpus (88% unique, 8% exact dups, 4%
-        # near dups — a realistic crawl mix) at 8 vs 32 CPUs in fresh
-        # processes, min-of-3 per level; survivor counts must agree.
-        import subprocess
-
-        import pyarrow as _pa
-        import pyarrow.parquet as _pq
-
-        n_docs = int(os.environ.get("GRAFT_CUR_DOCS", "400000"))
-        corpus = f"/tmp/ner_ray_curdocs_{n_docs}"
-        cfile = os.path.join(corpus, "documents.parquet")
-        if not os.path.exists(cfile):
-            os.makedirs(corpus, exist_ok=True)
-            w = None
-            for lo in range(0, n_docs, 50_000):
-                hi = min(lo + 50_000, n_docs)
-                ids, texts = [], []
-                for i in range(lo, hi):
-                    ids.append(i)
-                    if i % 25 == 24:      # near dup of i-1 (one tail word)
-                        base = i - 1
-                        texts.append(" ".join(
-                            f"d{base}w{j}" for j in range(40)) + " vv")
-                    elif i % 12 == 11:    # exact dup of i-1
-                        base = i - 1
-                        texts.append(" ".join(
-                            f"d{base}w{j}" for j in range(40)))
-                    else:
-                        texts.append(" ".join(
-                            f"d{i}w{j}" for j in range(40)))
-                tbl = _pa.table({
-                    "doc_id": _pa.array(ids, _pa.int64()),
-                    "text": _pa.array(texts, _pa.string())})
-                if w is None:
-                    w = _pq.ParquetWriter(cfile, tbl.schema)
-                w.write_table(tbl)
-            w.close()
-
-        prog = f"""
-import ray, sys, time, json, shutil
-ncpu = int(sys.argv[1])
-ray.init(address="local", num_cpus=ncpu, include_dashboard=False,
-         logging_level="ERROR")
-from ray.data import DataContext
-ctx = DataContext.get_current(); ctx.enable_progress_bars = False
-ctx.min_parallelism = ncpu * 2; ctx.read_op_min_num_blocks = ncpu * 2
-from ner_extractor_ray.pipelines.curation import run_curation
-ds = ray.data.read_parquet({cfile!r})
-ds.count()
-reps, n_cur = [], 0
-for r in range(3):
-    out = "/tmp/cur_scale_" + str(ncpu)
-    shutil.rmtree(out, ignore_errors=True)
-    t0 = time.perf_counter()
-    res = run_curation(ray.data.read_parquet({cfile!r}), out_dir=out,
-                       n_partitions=64)
-    n_cur = res["curated"].count()
-    reps.append(round(time.perf_counter() - t0, 2))
-print(json.dumps({{"reps": reps, "min": min(reps), "n_curated": n_cur}}))
-ray.shutdown()
-"""
-
-        def runcur(ncpu: int) -> dict:
-            out = subprocess.run([sys.executable, "-c", prog, str(ncpu)],
-                                 capture_output=True, text=True, check=True).stdout
-            return json.loads(out.strip().splitlines()[-1])
-
-        lo, hi = runcur(8), runcur(32)
-        assert lo["n_curated"] == hi["n_curated"], (lo, hi)
-        print(json.dumps({
-            "metric": "curation pipeline scaling 8→32 cpus",
-            "docs": n_docs,
-            "n_curated": hi["n_curated"],
-            "docs_per_sec_8": round(n_docs / lo["min"], 1),
-            "docs_per_sec_32": round(n_docs / hi["min"], 1),
-            "scaling_efficiency": round((lo["min"] / hi["min"]) / 4, 3),
-            "repeats_sec_8": lo["reps"],
-            "repeats_sec_32": hi["reps"],
-        }))
-        return
-
-    if "--soak" in sys.argv:
-        # Memory-pressure soak (round-5 directive #2): the same 1.6M-page
-        # kg run in two fresh processes — uncapped, then with the object
-        # store capped at 2 GiB so the working set (annotations materialize
-        # + shuffle buffers; ~2.8 GB at this corpus) must spill/stream.
-        # Completion under the cap + identical edge/node hashes evidences
-        # the "stream 100 TB through a fixed object store" premise the
-        # 128 GiB sandbox never tests. Numbers recorded in BASELINE.md.
-        import subprocess
-
-        mult = int(os.environ.get("GRAFT_BENCH_PAGES_MULT", "32"))
-        n_pages = max(500, int(500_000 * _sf_from_dir(sf_dir))) * mult
-        corpus = f"/tmp/ner_ray_bench_pages_{n_pages}"
-        if not os.path.exists(os.path.join(corpus, "gold_triples.parquet")):
-            from ner_extractor_ray.sources.pages import write_pages
-
-            write_pages(corpus, n_pages, seed=42, n_files=32)
-
-        prog = f"""
-import ray, sys, time, json, hashlib, shutil
-cap = int(sys.argv[1])
-kw = dict(address="local", num_cpus={num_cpus}, include_dashboard=False,
-          logging_level="ERROR")
-if cap:
-    kw["object_store_memory"] = cap
-ray.init(**kw)
-from ray.data import DataContext
-ctx = DataContext.get_current(); ctx.enable_progress_bars = False
-ctx.min_parallelism = {num_cpus} * 2
-ctx.read_op_min_num_blocks = {num_cpus} * 2
-from ner_extractor_ray.pipelines.kg import pages_dataset, run_kg
-out_dir = "/tmp/soak_kg_" + str(cap)
-shutil.rmtree(out_dir, ignore_errors=True)
-t0 = time.perf_counter()
-res = run_kg(pages_dataset({corpus!r}), out_dir=out_dir,
-             n_partitions=max(16, min(256, {n_pages} // 12_500)))
-sec = round(time.perf_counter() - t0, 2)
-def h(ds):
-    rows = sorted(tuple(sorted(r.items())) for r in ds.take_all())
-    return hashlib.sha256(repr(rows).encode()).hexdigest()[:16]
-print(json.dumps({{"sec": sec, "edges": h(res["edges"]),
-                   "nodes": h(res["nodes"]), "cap": cap}}))
-ray.shutdown()
-"""
-
-        def runsoak(cap: int) -> dict:
-            out = subprocess.run([sys.executable, "-c", prog, str(cap)],
-                                 capture_output=True, text=True, check=True).stdout
-            return json.loads(out.strip().splitlines()[-1])
-
-        free = runsoak(0)
-        capped = runsoak(2 * 1024 ** 3)
-        assert capped["edges"] == free["edges"], (capped, free)
-        assert capped["nodes"] == free["nodes"], (capped, free)
-        print(json.dumps({
-            "metric": "kg soak under 2GiB object store cap (1.6M pages)",
-            "pages": n_pages,
-            "num_cpus": num_cpus,
-            "sec_uncapped": free["sec"],
-            "sec_capped_2GiB": capped["sec"],
-            "hash_match": True,
-            "edges_hash": free["edges"],
-        }))
-        return
-
-    if "--scaling" in sys.argv:
-        import subprocess
-
-        def run(ncpu: int) -> dict:
-            # 32× corpus (1.6M pages) for the scaling runs: the compute share
-            # must dominate the fixed orchestration latency for the ratio to
-            # be meaningful (measured eff: 0.23 @ 50k, 0.79 @ 400k, 0.87 @
-            # 800k in round 3; round 4's materialize-before-write fix cut the
-            # 32-cpu leg to ~15 s at 800k and efficiency read 0.729 there —
-            # same job, shorter scalable part — so the scaling corpus doubles
-            # to keep the criterion about the scalable fraction)
-            env = dict(os.environ, RAY_GRAFT_CPUS=str(ncpu), GRAFT_BENCH_KG_ONLY="1",
-                       GRAFT_BENCH_PAGES_MULT=os.environ.get("GRAFT_BENCH_PAGES_MULT", "32"))
-            out = subprocess.run(
-                [sys.executable, os.path.abspath(__file__)],
-                env=env, capture_output=True, text=True, check=True,
-            ).stdout
-            return json.loads(out.strip().splitlines()[-1])
-
-        lo, hi = run(8), run(32)
-        t_lo, t_hi = lo["queries"]["kg_pipeline"], hi["queries"]["kg_pipeline"]
-        eff = (t_lo / t_hi) / (32 / 8)
-        print(json.dumps({
-            "metric": "kg pipeline scaling 8→32 cpus",
-            "sec_8": t_lo,
-            "sec_32": t_hi,
-            "docs_per_sec_8": lo["kg_docs_per_sec"],
-            "docs_per_sec_32": hi["kg_docs_per_sec"],
-            "scaling_efficiency": round(eff, 3),
-            "suite_sec_8": lo["value"],
-            "suite_sec_32": hi["value"],
-            # ambient-load transparency: all repeats per leg, not just mins
-            "repeats_sec_8": lo.get("kg_repeats_sec"),
-            "repeats_sec_32": hi.get("kg_repeats_sec"),
-        }))
-        return
-
-    print(json.dumps(run_suite(sf_dir, num_cpus)))
+        _, _, keys = _pair("web", WEB_PAGES, "pages")
+        line = {"metric": "host_link_graph scaling 8→32 cpus", "pages": WEB_PAGES, **keys}
+    elif "--scaling-cur" in sys.argv:
+        _, hi, keys = _pair("cur", CUR_DOCS, "docs")
+        line = {"metric": "curation pipeline scaling 8→32 cpus", "docs": CUR_DOCS,
+                "n_curated": hi["check"], **keys}
+    elif "--soak" in sys.argv:
+        # uncapped, then with a 2 GiB object store the working set spills through
+        free, capped = run_job("kg", cpus, 0), run_job("kg", cpus, 2 * 1024 ** 3)
+        assert capped["check"] == free["check"], (capped, free)
+        line = {"metric": "kg soak under 2GiB object store cap (1.6M pages)",
+                "pages": _n_pages("32"), "num_cpus": cpus,
+                "sec_uncapped": free["min"], "sec_capped_2GiB": capped["min"],
+                "hash_match": True, "edges_hash": free["check"]["edges"]}
+    elif "--scaling" in sys.argv:
+        lo, hi, keys = _pair("kg", _n_pages("32"), "docs")
+        # each leg runs the kg job alone, so its suite seconds are the job's
+        line = {"metric": "kg pipeline scaling 8→32 cpus", "sec_8": lo["min"],
+                "sec_32": hi["min"], "suite_sec_8": lo["min"],
+                "suite_sec_32": hi["min"], **keys}
+    else:
+        line = run_suite(cpus)
+    print(json.dumps(line))
 
 
 if __name__ == "__main__":

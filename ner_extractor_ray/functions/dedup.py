@@ -361,10 +361,10 @@ def lsh_near_dup_pairs(
         )
 
     if use_broadcast:
-        from ..stages.canonicalize import rows_batched
+        from ..stages.materialize import collect_table
 
         cid_set = set()
-        for r in rows_batched(cands):
+        for r in collect_table(cands).to_pylist():
             cid_set.add(int(r["id_a"]))
             cid_set.add(int(r["id_b"]))
         idref = _ray.put(cid_set)
@@ -378,8 +378,8 @@ def lsh_near_dup_pairs(
 
         text_map = {
             int(r["cid"]): r["txt"]
-            for r in rows_batched(
-                docs.map_batches(pick_texts, batch_format="pyarrow"))
+            for r in collect_table(
+                docs.map_batches(pick_texts, batch_format="pyarrow")).to_pylist()
         }
         tref = _ray.put(text_map)
 

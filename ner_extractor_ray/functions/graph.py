@@ -166,8 +166,8 @@ def triangle_count(
     n_edges = edges_ds.count()
 
     if n_nodes <= degree_broadcast_threshold:
-        from ..stages.canonicalize import rows_batched
-        deg = {int(r["node"]): int(r["degree"]) for r in rows_batched(degs)}
+        from ..stages.materialize import collect_table
+        deg = {int(r["node"]): int(r["degree"]) for r in collect_table(degs).to_pylist()}
         dref = ray.put(deg)
 
         def orient(t: pa.Table) -> pa.Table:
@@ -360,8 +360,8 @@ def local_triangle_table(
                                         "tri": pa.array([], pa.int64())}))
 
     if n_nodes <= degree_broadcast_threshold:
-        from ..stages.canonicalize import rows_batched
-        deg = {int(r["node"]): int(r["degree"]) for r in rows_batched(degs)}
+        from ..stages.materialize import collect_table
+        deg = {int(r["node"]): int(r["degree"]) for r in collect_table(degs).to_pylist()}
         dref = ray.put(deg)
 
         def orient(t: pa.Table) -> pa.Table:

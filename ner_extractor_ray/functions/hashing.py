@@ -13,10 +13,6 @@ import hashlib
 
 import numpy as np
 
-_FNV_OFFSET = np.uint64(0xCBF29CE484222325)
-_FNV_PRIME = np.uint64(0x100000001B3)
-
-
 def stable_hash64(s: str | bytes) -> int:
     """64-bit stable hash of a string (blake2b). Same value in every process."""
     if isinstance(s, str):
@@ -29,21 +25,6 @@ def stable_id(s: str | bytes, prefix: str = "") -> str:
     if isinstance(s, str):
         s = s.encode("utf-8")
     return prefix + hashlib.blake2b(s, digest_size=8).hexdigest()
-
-
-def fnv1a64_array(strings: np.ndarray) -> np.ndarray:
-    """Vectorized-ish FNV-1a over an object array of strings → uint64 array.
-
-    Used for bucket/partition keys inside map_batches where per-row blake2
-    would dominate. Pure function of bytes — identical at any parallelism.
-    """
-    out = np.empty(len(strings), dtype=np.uint64)
-    for i, s in enumerate(strings):
-        h = _FNV_OFFSET
-        for b in s.encode("utf-8") if isinstance(s, str) else s:
-            h = np.uint64((int(h) ^ b) * int(_FNV_PRIME) & 0xFFFFFFFFFFFFFFFF)
-        out[i] = h
-    return out
 
 
 def crc_bucket(values, n_buckets: int) -> np.ndarray:

@@ -66,22 +66,6 @@ def viterbi_decode(emissions: np.ndarray, length: int | None = None) -> np.ndarr
     return path
 
 
-def viterbi_decode_batch(
-    emissions_flat: np.ndarray, lengths: np.ndarray
-) -> list[np.ndarray]:
-    """Decode a batch packed as a flat (sum(T_i), N_LABELS) emission matrix.
-
-    The packed layout avoids padding entirely (SURVEY.md §1.3: list columns
-    instead of padded tensors).
-    """
-    out = []
-    offset = 0
-    for L in lengths:
-        out.append(viterbi_decode(emissions_flat[offset : offset + int(L)]))
-        offset += int(L)
-    return out
-
-
 def viterbi_decode_padded(em_batch: np.ndarray, lengths: np.ndarray) -> list[np.ndarray]:
     """Batched Viterbi: (N, Tmax, L) emissions + per-sentence lengths.
 

@@ -470,11 +470,11 @@ def robots_frontier_filter(pages_ds, robots_ds, *,
     partials = _frontier_path_partials(pages_ds)
 
     if rules_tbl.count() <= broadcast_limit:
-        from ..stages.canonicalize import rows_batched
+        from ..stages.materialize import collect_table
 
         rules_by_host = {
             r["host"]: _rules_from_str(r["rules"])
-            for r in rows_batched(rules_tbl)
+            for r in collect_table(rules_tbl).to_pylist()
         }
         rules_ref = _ray.put(rules_by_host)
 
@@ -628,10 +628,10 @@ def dangling_links(pages_ds, *, broadcast_limit: int = 2_000_000):
         ).select(["dst_host", "dst_url"])
 
     if n_pages <= broadcast_limit:
-        from ..stages.canonicalize import rows_batched
+        from ..stages.materialize import collect_table
 
         url_set_ref = _ray.put(frozenset(
-            r["url"] for r in rows_batched(urls_ds)))
+            r["url"] for r in collect_table(urls_ds).to_pylist()))
 
         def probe_exact(t: pa.Table) -> pa.Table:
             s = _ray.get(url_set_ref)

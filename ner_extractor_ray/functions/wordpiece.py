@@ -72,11 +72,6 @@ def wordpiece_tokenize(
     return pieces
 
 
-def piece_id(piece: str, vocab: dict[str, int] | None = None) -> int:
-    vocab = vocab if vocab is not None else default_vocab()
-    return vocab.get(piece, vocab.get(UNK, 0))
-
-
 def train_wordpiece_vocab(
     word_counts: dict[str, int], *, n_merges: int = 1200,
     alphabet: str | None = None,

@@ -40,6 +40,7 @@ from ..stages.materialize import (
     EDGES,
     NODES,
     build_nodes,
+    collect_table,
     dedup_edges,
     read_table,
     write_partitioned,
@@ -74,7 +75,6 @@ def tag_sentences(
     include_subwords: bool = False,
     scorer=None,
     scorer_kwargs: dict | None = None,
-    num_gpus: float | None = None,
 ) -> "ray.data.Dataset":
     """pages → tagged sentence rows (url, sent_id, tokens, tags, ...).
 
@@ -100,15 +100,11 @@ def tag_sentences(
         ds = ds.map_batches(tokenize_batch, batch_format="pyarrow")
     scorer_cls = scorer or DeterministicTagger
     if use_actors:
-        kwargs = dict(
-            batch_format="pyarrow",
-            batch_size=batch_size,
+        ds = ds.map_batches(
+            scorer_cls, batch_format="pyarrow", batch_size=batch_size,
             fn_constructor_kwargs=scorer_kwargs or {},
             concurrency=tagger_concurrency or default_tagger_concurrency(),
         )
-        if num_gpus:
-            kwargs["num_gpus"] = num_gpus
-        ds = ds.map_batches(scorer_cls, **kwargs)
     else:
         ds = ds.map_batches(
             scorer_cls(**(scorer_kwargs or {})), batch_format="pyarrow",
@@ -117,19 +113,7 @@ def tag_sentences(
     return ds.select_columns(["url", "sent_id", "sentence", "tokens", "n_tokens", "tags"])
 
 
-def _kv_arrays(assignments: "ray.data.Dataset") -> tuple[pa.Array, pa.Array]:
-    """Collect the (node, entity_id) assignment table as two parallel Arrow
-    string arrays — the broadcast payload for :class:`_IdLookup`. Only called
-    below ``broadcast_limit`` (the S7b gate); never builds a Python dict, so
-    the driver cost is two contiguous string buffers, not 2M dict entries."""
-    chunks = list(assignments.select_columns(["node", "entity_id"]).iter_batches(
-        batch_size=65536, batch_format="pyarrow"))
-    if not chunks:
-        empty = pa.array([], pa.string())
-        return empty, empty
-    tbl = pa.concat_tables(chunks)
-    return (pc.cast(tbl.column("node"), pa.string()).combine_chunks(),
-            pc.cast(tbl.column("entity_id"), pa.string()).combine_chunks())
+_ID_MAP = pa.schema([("node", pa.string()), ("entity_id", pa.string())])
 
 
 class _IdLookup:
@@ -139,18 +123,12 @@ class _IdLookup:
     pair of parallel string arrays shipped via ONE ``ray.put``; per batch,
     ``pc.index_in(batch[src], keys)`` + ``pc.take(values, idx)`` resolves the
     whole column in C — a missing key yields a null index and so a null id,
-    the old ``m.get(None)`` semantics. A legacy dict payload (kg_update
-    round-trip tests) is converted once in ``__init__``. A/B vs the per-row
-    dict loop at 800k pages recorded in BASELINE.md.
+    the old ``m.get(None)`` semantics. A/B vs the per-row dict loop at 800k
+    pages recorded in BASELINE.md.
     """
 
     def __init__(self, map_ref, cols: list[tuple[str, str]]):
-        kv = ray.get(map_ref) if isinstance(map_ref, ray.ObjectRef) else map_ref
-        if isinstance(kv, dict):
-            self.keys = pa.array(list(kv.keys()), pa.string())
-            self.vals = pa.array(list(kv.values()), pa.string())
-        else:
-            self.keys, self.vals = kv
+        self.keys, self.vals = ray.get(map_ref)
         self.cols = cols
 
     def __call__(self, batch: pa.Table) -> pa.Table:
@@ -172,7 +150,10 @@ def link_ids(
     broadcast to an :class:`_IdLookup`; a larger one takes partitioned hash
     joins. Returns (mentions + entity_id, triples + subj_id/obj_id)."""
     if assignments.count() <= broadcast_limit:
-        map_ref = ray.put(_kv_arrays(assignments))
+        # two contiguous string arrays, never a Python dict on the driver
+        kv = collect_table(assignments, schema=_ID_MAP)
+        map_ref = ray.put((kv.column("node").combine_chunks(),
+                           kv.column("entity_id").combine_chunks()))
         mentions_linked = mentions.map_batches(
             _IdLookup(map_ref, [("node", "entity_id")]), batch_format="pyarrow"
         )
@@ -238,7 +219,6 @@ def run_kg(
     broadcast_limit: int = 2_000_000,
     resume: bool = True,
     use_actors: bool = False,
-    write_tagged: bool = False,
     lang_filter: str | None = "en",
     scorer=None,
     scorer_kwargs: dict | None = None,
@@ -255,9 +235,7 @@ def run_kg(
     The corpus is scanned ONCE: extract → sentseg → tokenize → tag → annotate
     runs as a single fused task chain whose distilled output (the annotations
     table, a few rows per sentence) is the checkpoint/resume boundary —
-    nothing corpus-sized is materialized or re-read. ``write_tagged=True``
-    additionally checkpoints the tagged-sentences table (two corpus passes,
-    useful when tags feed other consumers).
+    nothing corpus-sized is materialized or re-read.
     """
     from ..stages.annotate import (
         MENTION_COLS, TRIPLE_COLS, annotate_sentences, kind_filter, split_annotations,
@@ -335,18 +313,12 @@ def run_kg(
 
                 pages = pages.map_batches(prune, batch_format="pyarrow")
 
-        # ---- S1-S4 (+ optional tagged checkpoint)
+        # ---- S1-S4
         tagged = tag_sentences(
             pages, tagger_concurrency=tagger_concurrency, batch_size=batch_size,
             use_actors=use_actors, lang_filter=lang_filter, scorer=scorer,
             scorer_kwargs=scorer_kwargs, include_subwords=include_subwords,
         )
-        if write_tagged and out_dir:
-            tagged_dir = os.path.join(out_dir, "tagged")
-            if not (table_complete(tagged_dir) and resume):
-                write_partitioned(tagged, tagged_dir, "url",
-                                  n_partitions=n_partitions, resume=resume)
-            tagged = read_table(tagged_dir)
 
         # ---- S5+S6+S7a fused into the same pass
         ann = annotate_sentences(tagged, batch_size=batch_size, use_actors=use_actors,

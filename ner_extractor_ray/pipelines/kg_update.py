@@ -54,7 +54,7 @@ from ..stages.canonicalize import (
     distinct_nodes,
 )
 from ..stages.joins import _bucket_hash, hash_join
-from ..stages.materialize import read_table, write_partitioned
+from ..stages.materialize import collect_table, read_table, write_partitioned
 from ..state.manifest import table_complete
 from .kg import link_ids, tag_sentences, write_graph
 
@@ -119,14 +119,6 @@ def adopt_frozen_ids(joined: pa.Table) -> pa.Table:
     ], names=ASSIGN_COLS).cast(ASSIGN_SCHEMA)
 
 
-def _collect(ds: "ray.data.Dataset", src: list[str], schema: pa.Schema) -> pa.Table:
-    """``ds`` collected on the driver as one :func:`_project`-ed table."""
-    return pa.concat_tables(
-        [_project(b, src, schema)
-         for b in ds.iter_batches(batch_size=65536, batch_format="pyarrow")]
-        or [schema.empty_table()])
-
-
 def _new_assignments(
     joint: "ray.data.Dataset",
     prev_assign: "ray.data.Dataset",
@@ -142,8 +134,8 @@ def _new_assignments(
     straddles buckets, so both plans give the same rows."""
     prev_src = ASSIGN_COLS[:3]
     if joint.count() <= broadcast_limit:
-        joined = _collect(joint, ASSIGN_COLS, _JOINT).join(
-            _collect(prev_assign, prev_src, _PREV), "node",
+        joined = collect_table(joint, ASSIGN_COLS, _JOINT).join(
+            collect_table(prev_assign, prev_src, _PREV), "node",
             join_type="left outer")
         return ray.data.from_arrow(adopt_frozen_ids(joined))
 

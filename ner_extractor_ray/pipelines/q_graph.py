@@ -16,7 +16,7 @@ import ray
 import ray.data
 from ray.data.aggregate import Count, Max, Min, Sum
 
-from ..stages.canonicalize import rows_batched as _rows_batched
+from ..stages.materialize import collect_table
 from ._qcommon import (
     _floor_log2, _gagg, _rp,
 )
@@ -589,7 +589,7 @@ def q_graph_walks(sf_dir: str, *, degree_broadcast_threshold: int = 5_000_000):
 
     small = degs.count() <= degree_broadcast_threshold
     dref = (ray.put({int(r["cur"]): int(r["deg"])
-                     for r in _rows_batched(degs)})
+                     for r in collect_table(degs).to_pylist()})
             if small else None)
     # adjacency gate mirrors triangle_count's 2M-edge broadcast switch: the
     # ranked adjacency ships ONCE as two aligned int64 arrays (16 B/edge)

@@ -1164,9 +1164,9 @@ def q_lm_score(sf_dir: str, *, broadcast_limit: int = 5_000_000):
         batch_format="pyarrow").materialize()  # filtered-model-sized
 
     if model.count() <= broadcast_limit:
-        from ..stages.canonicalize import rows_batched
+        from ..stages.materialize import collect_table
 
-        num = {r["bigram"]: int(r["n"]) for r in rows_batched(model)}
+        num = {r["bigram"]: int(r["n"]) for r in collect_table(model).to_pylist()}
         w1s = {b.split(" ", 1)[0] for b in num}
 
         def pre_filter(t: pa.Table) -> pa.Table:
@@ -1174,8 +1174,8 @@ def q_lm_score(sf_dir: str, *, broadcast_limit: int = 5_000_000):
             return t.filter(m)
 
         den = {r["w1"]: int(r["d"])
-               for r in rows_batched(
-                   pre.map_batches(pre_filter, batch_format="pyarrow"))}
+               for r in collect_table(
+                   pre.map_batches(pre_filter, batch_format="pyarrow")).to_pylist()}
         model_ref = ray.put((num, den))
 
         def score(t: pa.Table) -> pa.Table:

@@ -57,18 +57,6 @@ def pre_aggregated_count(
                              [Sum(count_col, alias_name=count_col)]).aggregate(ds, prior)
 
 
-def rows_batched(ds: "ray.data.Dataset", columns: list[str] | None = None) -> list:
-    """``take_all()`` replacement for driver-gated collections: take_all
-    walks pandas-backed blocks ROW-BY-ROW at ~230 µs a row — measured 21 s
-    for a 90k-row participant table — while batched Arrow ``to_pylist`` is
-    ~2 µs/row. Same list-of-row-dicts result, whatever the block format."""
-    if columns is not None:
-        ds = ds.select_columns(columns)
-    return [r
-            for b in ds.iter_batches(batch_size=65536, batch_format="pyarrow")
-            for r in b.to_pylist()]
-
-
 def _compact_blocks() -> int:
     import ray as _ray
 
@@ -355,13 +343,11 @@ def _driver_union_find(pairs_ds: "ray.data.Dataset") -> "ray.data.Dataset":
     """Small-graph plan: collect the (materialized) pairs and union-find them
     on the driver with min representatives — the labels the distributed plan
     converges to, without its fixed per-round executions."""
-    a, b = [], []
-    ntype = pa.int64()  # no pairs: an empty label table
-    for t in pairs_ds.iter_batches(batch_size=65536, batch_format="pyarrow"):
-        if t.num_rows:
-            ntype = t.column("a").type
-            a.extend(t.column("a").to_pylist())
-            b.extend(t.column("b").to_pylist())
+    from .materialize import collect_table  # materialize imports this module
+
+    t = collect_table(pairs_ds, ["a", "b"])
+    ntype = t.column("a").type if t.num_rows else pa.int64()  # no pairs: empty
+    a, b = t.column("a").to_pylist(), t.column("b").to_pylist()
     nodes = list(dict.fromkeys(a + b))
     return ray.data.from_arrow(pa.table({
         "node": pa.array(nodes, ntype),
@@ -571,6 +557,8 @@ def canonicalize_nodes(
     plans produce byte-identical assignments); above it, the distributed
     candidate_pairs → connected_components → entity_assignments plan runs.
     """
+    from .materialize import collect_table  # materialize imports this module
+
     n = nodes_distinct.count()
     if n > driver_threshold:
         pairs = candidate_pairs(nodes_distinct, threshold=threshold, bucket_cap=bucket_cap)
@@ -578,7 +566,7 @@ def canonicalize_nodes(
             pairs, num_partitions=num_partitions, driver_threshold=driver_threshold)
         return entity_assignments(labels, nodes_distinct, num_partitions=num_partitions)
 
-    nodes = pa.Table.from_pylist(rows_batched(nodes_distinct), schema=_NODES)
+    nodes = collect_table(nodes_distinct, schema=_NODES)
     pairs = _verified_pairs(_band_rows(nodes), threshold, bucket_cap)
     comp = union_find_min(nodes.column("node").to_pylist(),
                           pairs.column("a").to_pylist(), pairs.column("b").to_pylist())

@@ -1,13 +1,9 @@
 """Join strategies (SURVEY.md §2.4).
 
-Two physical plans, chosen by side size — the scale rule that matters at
-10^12 documents:
-
-  * ``broadcast_lookup`` — small side (alias table, label map, entity-id map):
-    ``ray.put`` ONCE on the driver, ``ray.get`` once per actor/task closure,
-    dict/pandas merge per batch. No shuffle. Reference analog: the 9-key label
-    maps and the GloVe matrix held per process (src/data_module.py:105,
-    BiLSTM-CRF/5489Project_trainv2.ipynb cell 5).
+Partitioned joins for two large sides — the scale rule that matters at
+10^12 documents. (A small side is broadcast by its caller instead: one
+``ray.put`` and a vectorized lookup per batch, e.g. ``pipelines/kg.py``
+``_IdLookup``.)
 
   * ``hash_join`` — both sides large: explicit partitioned hash join. We add a
     stable ``__bucket = hash(key) % B`` column to both sides, align schemas,
@@ -40,33 +36,6 @@ import ray.data
 # co-locate; the pandas merge inside the bucket then applies its own NaN-key
 # semantics.
 _NULL_KEY = "\x01\x00N\x01"
-
-
-def broadcast(obj) -> "ray.ObjectRef":
-    """Put a small lookup structure in the object store once."""
-    return ray.put(obj)
-
-
-class BroadcastLookup:
-    """Actor-pool callable: maps a key column through a broadcast dict.
-
-    ``mapping_ref`` may be an ObjectRef (fetched once per actor, zero-copy
-    from the local object store on every node) or a plain dict (tests).
-    """
-
-    def __init__(self, mapping_ref, key_col: str, out_col: str, default=None):
-        self.mapping = (
-            ray.get(mapping_ref) if isinstance(mapping_ref, ray.ObjectRef) else mapping_ref
-        )
-        self.key_col = key_col
-        self.out_col = out_col
-        self.default = default
-
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        m = self.mapping
-        d = self.default
-        batch[self.out_col] = [m.get(k, d) for k in batch[self.key_col]]
-        return batch
 
 
 def _as_pa_type(t) -> pa.DataType:

@@ -84,6 +84,35 @@ def read_table(table_dir: str, columns: list[str] | None = None) -> "ray.data.Da
     return ray.data.read_parquet(table_dir, partitioning=None)
 
 
+def collect_table(ds: "ray.data.Dataset", columns: list[str] | None = None,
+                  schema: pa.Schema | None = None) -> pa.Table:
+    """A small dataset collected on the driver as one Arrow table, read in
+    Arrow batches: ``take_all()`` walks pandas blocks row by row (~230 µs a
+    row, 21 s for a 90k-row table, against ~2 µs for Arrow ``to_pylist``).
+
+    ``columns`` selects per batch; ``schema`` (its names default
+    ``columns``) renames the selected columns to its names and casts them.
+    Row-less blocks are skipped (the zero-column blocks groupby operators
+    emit among them), so a dataset without rows gives
+    ``schema.empty_table()``, or null-typed ``columns`` without a schema."""
+    if columns is None and schema is not None:
+        columns = schema.names
+    parts = []
+    for t in ds.iter_batches(batch_size=65536, batch_format="pyarrow"):
+        if t.num_rows == 0:
+            continue
+        if columns is not None:
+            t = t.select(columns)
+        if schema is not None:
+            t = t.rename_columns(schema.names).cast(schema)
+        parts.append(t)
+    if not parts:
+        if schema is not None:
+            return schema.empty_table()
+        return pa.table({c: pa.nulls(0) for c in columns or []})
+    return pa.concat_tables(parts, promote_options="default").combine_chunks()
+
+
 def write_partitioned(
     ds: "ray.data.Dataset",
     table_dir: str,
